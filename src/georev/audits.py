@@ -108,24 +108,6 @@ class PatchSpec:
         return np.concatenate(pts, axis=0)
 
 
-def _dist_point_to_boundary(patch, u2_0, n=4096):
-    """Extrinsic distance from the point (u1=0, u2_0) to the patch boundary.
-
-    By rotational symmetry the reference point may be fixed at angle zero.
-    The circle minimum over the angle is exact: for a boundary circle of
-    radius r at height z, the nearest point to (h0, 0, z0) sits at angle 0.
-    """
-    h0 = float(patch.surface.profile.h(u2_0))
-    g0 = float(patch.surface.profile.g(u2_0))
-    best = math.inf
-    for v in patch.boundary_u2:
-        r = float(patch.surface.profile.h(v))
-        z = float(patch.surface.profile.g(v))
-        best = min(best, math.hypot(h0 - r, g0 - z))
-    _ = n
-    return best
-
-
 def diameter_bound_audit(patch, spec=None, tol=DEFAULT_AUDIT_TOL, samples=4096):
     """diam f(D) >= 2 A / (L(boundary) + 2 sqrt(W A))."""
     A, W = patch.area_and_willmore(spec)
@@ -146,14 +128,20 @@ def diameter_bound_audit(patch, spec=None, tol=DEFAULT_AUDIT_TOL, samples=4096):
 def interior_point_audit(patch, samples=512, tol=DEFAULT_AUDIT_TOL):
     """max over x0 of dist(f(x0), f(boundary)) >= (diam f(D) - L(boundary)) / 2.
 
-    Requires a connected boundary (a cap); bands are rejected.
+    Requires a connected boundary (a cap); bands are rejected.  By rotational
+    symmetry each reference point may be fixed at angle zero, and the circle
+    minimum over the angle is exact: for a boundary circle of radius r at
+    height z, the nearest point to (h0, 0, z0) sits at angle 0.
     """
     if not patch.is_cap:
         raise ValueError("interior-point audit needs a connected boundary (cap)")
     diam = patch.diameter()
     L = patch.boundary_length()
+    prof = patch.surface.profile
     u2s = np.linspace(patch.u2_lo, patch.u2_hi, samples + 2)[1:-1]
-    lhs = max(_dist_point_to_boundary(patch, float(v)) for v in u2s)
+    (v,) = patch.boundary_u2
+    r, z = float(prof.h(v)), float(prof.g(v))
+    lhs = float(np.max(np.hypot(prof.h(u2s) - r, prof.g(u2s) - z)))
     rhs = 0.5 * (diam - L)
     return AuditReport(
         name="interior-point-distance",

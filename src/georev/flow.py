@@ -9,11 +9,11 @@ the metric diag(h^2, gamma^2):
     a^1 = u1'' + 2 (h'/h) u1' u2'
     a^2 = u2'' - (h h'/gamma^2) u1'^2 + (gamma'/gamma) u2'^2
 
-projected orthogonally to the tangent.  Time stepping is explicit with the
-parabolic restriction dt = safety * (min spacing)^2.  Rotationally symmetric
-initial data stay exact parallels, for which the flow reduces to the scalar
-latitude equation du2/dt = -h'/(h gamma^2); that reduction doubles as a test
-oracle.
+(coefficients from ``ProfileCurve.christoffel``) projected orthogonally to
+the tangent.  Time stepping is explicit with the parabolic restriction
+dt = safety * (min spacing)^2.  Rotationally symmetric initial data stay exact
+parallels, for which the flow reduces to the scalar latitude equation
+du2/dt = -h'/(h gamma^2); that reduction doubles as a test oracle.
 
 Flows are restricted to bands away from the poles, where the chart
 discretization would degenerate.
@@ -162,7 +162,6 @@ def curve_from_trace(trace, m=512):
 
 def curvature_velocity(surface, curve):
     """(velocity (M,2), |kappa_g| (M,)) by covariant central differences."""
-    prof = surface.profile
     prv, nxt = curve.closed_offsets()
     p = curve.samples
     seg = curve.metric_lengths(surface)
@@ -180,18 +179,9 @@ def curvature_velocity(surface, curve):
     v_0 = -(v_m + v_p)
     xpp = v_m[:, None] * prv + v_0[:, None] * p + v_p[:, None] * nxt
 
-    u2 = p[:, 1]
-    h = np.asarray(prof.h(u2))
-    dh = np.asarray(prof.dh(u2))
-    gam = np.asarray(prof.speed(u2))
-    dgam = np.asarray(prof.dspeed(u2))
-
-    a1 = xpp[:, 0] + 2.0 * (dh / h) * xp[:, 0] * xp[:, 1]
-    a2 = (
-        xpp[:, 1]
-        - (h * dh / gam**2) * xp[:, 0] ** 2
-        + (dgam / gam) * xp[:, 1] ** 2
-    )
+    h, dh_h, hdh_gg, dgam_gam, gam = surface.profile.christoffel(p[:, 1])
+    a1 = xpp[:, 0] + 2.0 * dh_h * xp[:, 0] * xp[:, 1]
+    a2 = xpp[:, 1] - hdh_gg * xp[:, 0] ** 2 + dgam_gam * xp[:, 1] ** 2
     # project out the tangential component in the metric
     E = h * h
     G = gam * gam

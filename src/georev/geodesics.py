@@ -5,11 +5,11 @@ Integrates the geodesic system
     u1'' + 2 (h'/h) u1' u2' = 0
     u2'' - (h h'/gamma^2) u1'^2 + (gamma'/gamma) u2'^2 = 0
 
-with an adaptive explicit Runge-Kutta scheme, monitoring (not enforcing) the
-two conserved quantities of a unit-speed Clairaut geodesic: the speed
-E u1'^2 + G u2'^2 = 1 and the Clairaut constant c = u1' h(u2)^2.  The angle
-u1 is tracked in the universal cover (never reduced mod 2 pi inside the
-integrator).
+(coefficients from ``ProfileCurve.christoffel``) with an adaptive explicit
+Runge-Kutta scheme, monitoring (not enforcing) the two conserved quantities
+of a unit-speed Clairaut geodesic: the speed E u1'^2 + G u2'^2 = 1 and the
+Clairaut constant c = u1' h(u2)^2.  The angle u1 is tracked in the universal
+cover (never reduced mod 2 pi inside the integrator).
 
 Closure is certified by position and tangent defects at a candidate period;
 self-intersections are located by a sweep over the sampled polyline in the
@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp, trapezoid
 
 __all__ = [
     "GeodesicState",
@@ -119,10 +119,6 @@ class GeodesicTrace:
         y = self.eval(float(t))
         return GeodesicState(float(t), *map(float, y))
 
-    def states(self):
-        return [GeodesicState(float(t), *map(float, y))
-                for t, y in zip(self.ts, self.ys.T)]
-
     def step_sizes(self):
         return np.diff(self.ts)
 
@@ -156,19 +152,16 @@ def parallel_state(surface, u2, u1=0.0):
 
 
 def _rhs(surface):
-    prof = surface.profile
+    christoffel = surface.profile.christoffel
 
     def rhs(t, y):
-        u2, du1, du2 = y[1], y[2], y[3]
-        h = prof.h(u2)
-        dh = prof.dh(u2)
-        gam = prof.speed(u2)
-        dgam = prof.dspeed(u2)
+        du1, du2 = y[2], y[3]
+        _, dh_h, hdh_gg, dgam_gam, _ = christoffel(y[1])
         return (
             du1,
             du2,
-            -2.0 * (dh / h) * du1 * du2,
-            (h * dh / (gam * gam)) * du1 * du1 - (dgam / gam) * du2 * du2,
+            -2.0 * dh_h * du1 * du2,
+            hdh_gg * du1 * du1 - dgam_gam * du2 * du2,
         )
 
     return rhs
@@ -387,7 +380,7 @@ def trace_length(trace, t_range=None, n_check=2048):
         h = np.asarray(prof.h(ys[1]))
         gam = np.asarray(prof.speed(ys[1]))
         speed = np.sqrt(h * h * ys[2] ** 2 + gam * gam * ys[3] ** 2)
-        sampled = float(np.trapezoid(speed, ts))
+        sampled = float(trapezoid(speed, ts))
         if abs(sampled - width) > 1e-6 * max(1.0, width):
             raise IntegrationError(
                 f"sampled length {sampled} disagrees with unit-speed width {width}"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -272,10 +272,7 @@ def _build_cylinder_family(cfg):
 
     if cfg.top in ("hemisphere", "spherical-cap"):
         top = cap_profile(a, z1 + H, 0.0, math.pi / 2)
-        top = ProfileSegment(
-            top.t_lo, top.t_hi, top.h, top.g, top.dh, top.dg, top.d2h, top.d2g,
-            label="hemisphere", config={**top.config},
-        )
+        top = replace(top, label="hemisphere")
         segs.append(_shift_segment(top, neck_hi))
     else:
         raise ConstructionError(f"unsupported top {cfg.top!r} for cylinder neck")
@@ -309,21 +306,12 @@ def _build_spheroid_band_family(cfg):
     # neck evaluators are the bare spheroid closed forms (bit-identical to an
     # unglued neck); only the caps are reparametrized.
     band = spheroid_profile(b, scale=a, t_lo=-w, t_hi=w)
-    band = ProfileSegment(
-        band.t_lo, band.t_hi, band.h, band.g, band.dh, band.dg,
-        band.d2h, band.d2g, label="spheroid-band", config={**band.config},
-    )
+    band = replace(band, label="spheroid-band")
     bottom = cap_profile(R, -z0, -math.pi / 2, -phi_join)
-    bottom = ProfileSegment(
-        bottom.t_lo, bottom.t_hi, bottom.h, bottom.g, bottom.dh, bottom.dg,
-        bottom.d2h, bottom.d2g, label="cap-bottom", config={**bottom.config},
-    )
+    bottom = replace(bottom, label="cap-bottom")
     bottom = _shift_segment(bottom, phi_join - w)
     top = cap_profile(R, z0, phi_join, math.pi / 2)
-    top = ProfileSegment(
-        top.t_lo, top.t_hi, top.h, top.g, top.dh, top.dg,
-        top.d2h, top.d2g, label="cap-top", config={**top.config},
-    )
+    top = replace(top, label="cap-top")
     top = _shift_segment(top, w - phi_join)
 
     profile = ProfileCurve([bottom, band, top])

@@ -29,6 +29,7 @@ from .numerics import (
     integrate_1d,
 )
 from .geodesics import (
+    _defects,
     clairaut_state,
     closure_check,
     detect_self_intersections,
@@ -140,16 +141,6 @@ class SpheroidSolution:
         return problems
 
 
-def _solve_b(N, c, ic_tol=1e-10):
-    """Bracketed solve of I_c(b, c) = (N+1) pi for b in (N+1, N+1+eps-ish)."""
-    target = (N + 1) * math.pi
-
-    def g(b):
-        return eval_Ic(b, c) - target
-
-    return g
-
-
 def solve_for_geodesic(
     N,
     eps,
@@ -173,8 +164,11 @@ def solve_for_geodesic(
     c = math.cos(eps * (1.0 - margin))
     b_lo, b_hi = N + 1.0, N + 1.0 + eps
     scan = []
+
+    def g(b):
+        return eval_Ic(b, c) - target
+
     for _ in range(60):
-        g = _solve_b(N, c)
         g_lo, g_hi = g(b_lo), g(b_hi)
         scan.append((c, g_lo + target, g_hi + target))
         if g_lo < 0.0 < g_hi:
@@ -203,10 +197,11 @@ def solve_for_geodesic(
     t0 = float(trace.turning_times[0])
     rec = closure_check(trace, tol=closure_tol, t_candidate=4.0 * t0)
     if rec is None:
-        pos, tan = (math.nan, math.nan)
+        pos, tan = _defects(trace, 4.0 * t0)
         raise SolverError(
             f"geodesic failed to close at 4 t0 for N={N}, eps={eps} "
-            f"(defects {pos}, {tan})"
+            f"(position defect {pos:.3e}, tangent defect {tan:.3e}, "
+            f"tolerance {closure_tol:.1e})"
         )
     crossings = detect_self_intersections(trace, n_samples=n_samples)
     length = trace_length(trace, (0.0, rec.period))

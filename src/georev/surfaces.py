@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,14 +40,12 @@ __all__ = [
     "profile_from_config",
     "unit_sphere",
     "spheroid_surface",
-    "metric_at",
-    "curvatures_at",
-    "area_and_willmore",
-    "diameter_of",
 ]
 
 JOIN_TOL = 1e-10
 _POLE_TOL = 1e-12
+# evaluator names of the profile jet (h, h', h'', g', g'')
+_JET = ("h", "dh", "d2h", "dg", "d2g")
 
 
 class PoleError(ValueError):
@@ -124,44 +122,63 @@ class ProfileCurve:
         i = bisect_right(self.breaks, t) - 1
         return min(max(i, 0), len(self.segments) - 1)
 
-    def _eval(self, name, t):
+    def _eval(self, names, t):
+        """Values of the named segment evaluators at t, locating the segments once."""
         if np.ndim(t) == 0:
-            seg = self.segments[self._segment_index(float(t))]
-            return float(getattr(seg, name)(float(t)))
+            t = float(t)
+            seg = self.segments[self._segment_index(t)]
+            return [float(getattr(seg, name)(t)) for name in names]
         t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
+        outs = [np.empty_like(t) for _ in names]
         idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0,
                       len(self.segments) - 1)
         for i, seg in enumerate(self.segments):
             m = idx == i
             if np.any(m):
-                out[m] = getattr(seg, name)(t[m])
-        return out
+                tm = t[m]
+                for out, name in zip(outs, names):
+                    out[m] = getattr(seg, name)(tm)
+        return outs
+
+    def jet(self, t):
+        """(h, h', h'', g', g'') at t: floats for a scalar t, arrays for an array."""
+        return self._eval(_JET, t)
+
+    def christoffel(self, u2):
+        """Metric factors and Christoffel symbols of diag(h^2, gamma^2) at u2.
+
+        Returns (h, h'/h, h h'/gamma^2, gamma'/gamma, gamma); the middle three
+        are the coefficients of the geodesic equation.
+        """
+        h, dh, d2h, dg, d2g = self.jet(u2)
+        gam = np.hypot(dh, dg)
+        dgam = (dh * d2h + dg * d2g) / gam
+        return h, dh / h, h * dh / (gam * gam), dgam / gam, gam
 
     def h(self, t):
-        return self._eval("h", t)
+        return self._eval(("h",), t)[0]
 
     def g(self, t):
-        return self._eval("g", t)
+        return self._eval(("g",), t)[0]
 
     def dh(self, t):
-        return self._eval("dh", t)
+        return self._eval(("dh",), t)[0]
 
     def dg(self, t):
-        return self._eval("dg", t)
+        return self._eval(("dg",), t)[0]
 
     def d2h(self, t):
-        return self._eval("d2h", t)
+        return self._eval(("d2h",), t)[0]
 
     def d2g(self, t):
-        return self._eval("d2g", t)
+        return self._eval(("d2g",), t)[0]
 
     def speed(self, t):
-        return np.hypot(self.dh(t), self.dg(t))
+        return np.hypot(*self._eval(("dh", "dg"), t))
 
     def dspeed(self, t):
-        gam = self.speed(t)
-        return (self.dh(t) * self.d2h(t) + self.dg(t) * self.d2g(t)) / gam
+        _, dh, d2h, dg, d2g = self.jet(t)
+        return (dh * d2h + dg * d2g) / np.hypot(dh, dg)
 
     def interior_breaks(self):
         return [float(b) for b in self.breaks[1:-1]]
@@ -217,30 +234,11 @@ class RevolutionSurface:
         gam = float(self.profile.speed(u2))
         return (h * h, 0.0, gam * gam)
 
-    def _curvature_one_sided(self, seg, t):
-        dh, dg = float(seg.dh(t)), float(seg.dg(t))
-        d2h, d2g = float(seg.d2h(t)), float(seg.d2g(t))
-        h = float(seg.h(t))
-        gam = math.hypot(dh, dg)
-        km = (dh * d2g - dg * d2h) / gam**3
-        if abs(h) < _POLE_TOL:
-            # Pole: the parallel curvature has a limit iff the profile meets
-            # the axis orthogonally (g' -> 0 there); the limit equals the
-            # meridian curvature (umbilic point).
-            if abs(dg) > 1e-6 * gam:
-                raise PoleError(
-                    f"profile does not meet the axis orthogonally at t={t}"
-                )
-            kp = d2g / (dh * gam)
-        else:
-            kp = dg / (h * gam)
-        return km, kp
-
     def curvatures_at(self, u2) -> CurvatureData:
         """Gauss curvature, |H| (sum of principal curvatures), and both curvatures.
 
-        At an interior C^{1,1} join the one-sided values from the lower
-        segment are returned and flagged.
+        At an interior C^{1,1} join the one-sided values from the segment
+        that starts there are returned and flagged.
         """
         u2 = float(u2)
         lo, hi = self.u2_range
@@ -248,8 +246,13 @@ class RevolutionSurface:
             raise ValueError(f"u2={u2} outside profile domain [{lo}, {hi}]")
         prof = self.profile
         at_join = any(abs(u2 - b) < 1e-12 for b in prof.interior_breaks())
-        seg = prof.segments[prof._segment_index(u2)]
-        km, kp = self._curvature_one_sided(seg, u2)
+        h, dh, d2h, dg, d2g = prof.jet(u2)
+        km, kp, gam = _principal_curvatures(h, dh, d2h, dg, d2g)
+        # the pole limit of the parallel curvature exists iff the profile
+        # meets the axis orthogonally (g' -> 0 there)
+        if abs(h) < _POLE_TOL and abs(dg) > 1e-6 * gam:
+            raise PoleError(f"profile does not meet the axis orthogonally at t={u2}")
+        km, kp = float(km), float(kp)
         return CurvatureData(
             K=km * kp,
             abs_H=abs(km + kp),
@@ -260,15 +263,8 @@ class RevolutionSurface:
 
     def curvature_grids(self, t):
         """Vectorized (K, H^2, h, gamma) on an array of profile parameters."""
-        prof = self.profile
-        t = np.asarray(t, dtype=float)
-        h = prof.h(t)
-        dh, dg = prof.dh(t), prof.dg(t)
-        d2h, d2g = prof.d2h(t), prof.d2g(t)
-        gam = np.hypot(dh, dg)
-        km = (dh * d2g - dg * d2h) / gam**3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kp = np.where(np.abs(h) < _POLE_TOL, d2g / (dh * gam), dg / (h * gam))
+        h, dh, d2h, dg, d2g = self.profile.jet(np.asarray(t, dtype=float))
+        km, kp, gam = _principal_curvatures(h, dh, d2h, dg, d2g)
         return km * kp, (km + kp) ** 2, h, gam
 
     # -- integral quantities -------------------------------------------------
@@ -298,14 +294,9 @@ class RevolutionSurface:
                 return _seg.h(t) * np.hypot(_seg.dh(t), _seg.dg(t))
 
             def dW(t, _seg=seg):
-                dh, dg = _seg.dh(t), _seg.dg(t)
-                d2h, d2g = _seg.d2h(t), _seg.d2g(t)
-                h = _seg.h(t)
-                gam = np.hypot(dh, dg)
-                km = (dh * d2g - dg * d2h) / gam**3
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    kp = np.where(np.abs(h) < _POLE_TOL, d2g / (dh * gam), dg / (h * gam))
-                return (km + kp) ** 2 * h * gam
+                jet = _segment_jet(_seg, t)
+                km, kp, gam = _principal_curvatures(*jet)
+                return (km + kp) ** 2 * jet[0] * gam
 
             area += integrate_1d(dA, a, b, spec)
             willmore += integrate_1d(dW, a, b, spec)
@@ -325,12 +316,10 @@ class RevolutionSurface:
                 continue
 
             def dK(t, _seg=seg):
-                dh, dg = _seg.dh(t), _seg.dg(t)
-                d2h, d2g = _seg.d2h(t), _seg.d2g(t)
-                gam = np.hypot(dh, dg)
-                km = (dh * d2g - dg * d2h) / gam**3
+                jet = _segment_jet(_seg, t)
+                km, _, _ = _principal_curvatures(*jet)
                 # K h gamma = kappa_m * dg, finite at poles
-                return km * dg
+                return km * jet[3]
 
             total += integrate_1d(dK, a, b, spec)
         return 2.0 * math.pi * total
@@ -439,36 +428,32 @@ class RevolutionSurface:
         return cfg
 
 
-# -- module-level operation wrappers ------------------------------------------
+def _segment_jet(seg, t):
+    """(h, h', h'', g', g'') of one segment, without locating it."""
+    return [getattr(seg, name)(t) for name in _JET]
 
 
-def metric_at(surface, u2):
-    return surface.metric_at(u2)
+def _principal_curvatures(h, dh, d2h, dg, d2g):
+    """(kappa_meridian, kappa_parallel, gamma) from the profile jet.
 
-
-def curvatures_at(surface, u2):
-    return surface.curvatures_at(u2)
-
-
-def area_and_willmore(surface, u2_range=None, spec=None):
-    return surface.area_and_willmore(u2_range, spec)
-
-
-def diameter_of(surface, u2_range=None, samples=4096):
-    return surface.diameter_of(u2_range, samples)
+    At a pole (h = 0) the parallel curvature takes its limit g''/(h' gamma),
+    which equals the meridian curvature when the profile meets the axis
+    orthogonally (umbilic point).
+    """
+    gam = np.hypot(dh, dg)
+    km = (dh * d2g - dg * d2h) / gam**3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kp = np.where(np.abs(h) < _POLE_TOL, d2g / (dh * gam), dg / (h * gam))
+    return km, kp, gam
 
 
 # -- standard profiles ---------------------------------------------------------
 
 
-def _seg(t_lo, t_hi, h, g, dh, dg, d2h, d2g, label, config):
-    return ProfileSegment(t_lo, t_hi, h, g, dh, dg, d2h, d2g, label, config)
-
-
 def sphere_profile(radius=1.0, center_z=0.0, phi_lo=-math.pi / 2, phi_hi=math.pi / 2):
     """Sphere of given radius parametrized by latitude phi; phi = +-pi/2 are poles."""
     R, z0 = float(radius), float(center_z)
-    return _seg(
+    return ProfileSegment(
         phi_lo,
         phi_hi,
         h=lambda t: R * np.cos(t),
@@ -486,16 +471,12 @@ def sphere_profile(radius=1.0, center_z=0.0, phi_lo=-math.pi / 2, phi_hi=math.pi
 def cap_profile(radius, center_z, phi_lo, phi_hi=math.pi / 2):
     """Spherical cap (same parametrization as sphere_profile, partial range)."""
     seg = sphere_profile(radius, center_z, phi_lo, phi_hi)
-    return ProfileSegment(
-        seg.t_lo, seg.t_hi, seg.h, seg.g, seg.dh, seg.dg, seg.d2h, seg.d2g,
-        label="cap",
-        config={**seg.config, "kind": "cap"},
-    )
+    return replace(seg, label="cap", config={**seg.config, "kind": "cap"})
 
 
 def cylinder_profile(radius, z_lo, z_hi):
     a = float(radius)
-    return _seg(
+    return ProfileSegment(
         z_lo,
         z_hi,
         h=lambda t: a * np.ones_like(np.asarray(t, dtype=float)),
@@ -512,7 +493,7 @@ def cylinder_profile(radius, z_lo, z_hi):
 def catenoid_profile(waist, t_lo, t_hi, z_offset=0.0):
     """Catenoid h = a cosh(t/a), height t + z_offset; minimal (H = 0)."""
     a, z0 = float(waist), float(z_offset)
-    return _seg(
+    return ProfileSegment(
         t_lo,
         t_hi,
         h=lambda t: a * np.cosh(t / a),
@@ -530,7 +511,7 @@ def catenoid_profile(waist, t_lo, t_hi, z_offset=0.0):
 def spheroid_profile(b, scale=1.0, t_lo=-math.pi / 2, t_hi=math.pi / 2, z_offset=0.0):
     """Spheroid profile (h, g) = scale * (cos t, b sin t); b > 1 is prolate."""
     b, s, z0 = float(b), float(scale), float(z_offset)
-    return _seg(
+    return ProfileSegment(
         t_lo,
         t_hi,
         h=lambda t: s * np.cos(t),
@@ -548,7 +529,7 @@ def spheroid_profile(b, scale=1.0, t_lo=-math.pi / 2, t_hi=math.pi / 2, z_offset
 def paraboloid_profile(t_hi, coeff=0.5):
     """Graph-of-r^2 profile (h, g) = (t, coeff t^2) used for cross-checks."""
     c = float(coeff)
-    return _seg(
+    return ProfileSegment(
         0.0,
         t_hi,
         h=lambda t: np.asarray(t, dtype=float) + 0.0,
@@ -570,7 +551,7 @@ def dumbbell_profile(half_width=0.8, neck_depth=0.6, neck_sigma=0.3):
     def bump(t):
         return np.exp(-np.asarray(t, dtype=float) ** 2 / (2.0 * s2))
 
-    return _seg(
+    return ProfileSegment(
         -w,
         w,
         h=lambda t: 1.0 - d * bump(t),

@@ -98,9 +98,6 @@ class RegionDecomposition:
     arc_lengths: list
     arc_sides: list
 
-    def region_list(self):
-        return list(self.regions)
-
 
 def _wrap_pi(x):
     return np.mod(np.asarray(x) + math.pi, 2.0 * math.pi) - math.pi
@@ -290,7 +287,6 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16,
     two_pi = 2.0 * math.pi
 
     by, bx = np.nonzero(blocked)
-    prof = surface.profile
     for cy, cx in zip(by, bx):
         cand = []
         for dy in (-1, 0, 1):
@@ -330,9 +326,7 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16,
             np.array([arc_sides[a][0] for a in arcs_near]),
             np.array([arc_sides[a][1] for a in arcs_near]),
         )
-        hh = np.asarray(prof.h(pu2))
-        gg = np.asarray(prof.speed(pu2))
-        Ksub, H2sub, _, _ = surface.curvature_grids(pu2)
+        Ksub, H2sub, hh, gg = surface.curvature_grids(pu2)
         wsub = hh * gg * (du1 * du2 / (sub * sub))
         area += np.bincount(lab_sub, weights=wsub, minlength=m + 1)
         kda += np.bincount(lab_sub, weights=Ksub * wsub, minlength=m + 1)

@@ -118,3 +118,10 @@ class TestSolver:
         sol, _, _ = solve_for_geodesic(2, 0.05)
         assert sol.crossings == 2
         assert sol.check_invariants() == []
+
+    def test_closure_failure_reports_defects(self):
+        from georev.spheroid import SolverError
+
+        with pytest.raises(SolverError, match="position defect") as exc:
+            solve_for_geodesic(3, 0.2, closure_tol=1e-30)
+        assert "nan" not in str(exc.value)

@@ -243,3 +243,65 @@ class TestProfilePlumbing:
         coarse = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6, level=6)
         A, W = sphere.area_and_willmore(spec=coarse)
         assert abs(A - 4 * math.pi) < 1e-5
+
+
+def _jet_profiles():
+    from georev.glued import GluedFamilyConfig, build_glued_family
+
+    return {
+        "dumbbell": ProfileCurve([dumbbell_profile()]),
+        "glued-cylinder": build_glued_family(GluedFamilyConfig(a=0.1)).profile,
+    }
+
+
+class TestJet:
+    @pytest.mark.parametrize("name", ["dumbbell", "glued-cylinder"])
+    def test_matches_single_accessors(self, name):
+        prof = _jet_profiles()[name]
+        # interior points plus every break, the interior ones exactly
+        ts = np.concatenate([np.linspace(prof.t_min, prof.t_max, 257), prof.breaks])
+        accessors = (prof.h, prof.dh, prof.d2h, prof.dg, prof.d2g)
+        for t in [ts] + [float(v) for v in ts]:
+            jet = prof.jet(t)
+            assert len(jet) == 5
+            for got, f in zip(jet, accessors):
+                want = f(t)
+                assert type(got) is type(want)
+                np.testing.assert_array_equal(got, want)
+
+    def test_break_takes_the_starting_segment(self):
+        prof = _jet_profiles()["glued-cylinder"]
+        assert len(prof.segments) == 4
+        for k, b in enumerate(prof.interior_breaks(), start=1):
+            seg = prof.segments[k]
+            want = [float(getattr(seg, n)(b)) for n in ("h", "dh", "d2h", "dg", "d2g")]
+            assert prof.jet(b) == want
+            assert [float(v[0]) for v in prof.jet(np.array([b]))] == want
+
+    @pytest.mark.parametrize("name", ["dumbbell", "glued-cylinder"])
+    def test_speed_and_christoffel(self, name):
+        prof = _jet_profiles()[name]
+        ts = np.linspace(prof.t_min + 1e-3, prof.t_max - 1e-3, 101)
+        h, dh_h, hdh_gg, dgam_gam, gam = prof.christoffel(ts)
+        np.testing.assert_array_equal(h, prof.h(ts))
+        np.testing.assert_array_equal(gam, prof.speed(ts))
+        np.testing.assert_array_equal(dh_h, prof.dh(ts) / h)
+        np.testing.assert_array_equal(hdh_gg, h * prof.dh(ts) / (gam * gam))
+        np.testing.assert_array_equal(dgam_gam, prof.dspeed(ts) / gam)
+
+    @pytest.mark.parametrize("name", ["unit-sphere", "glued-cylinder"])
+    def test_curvatures_at_equals_grids(self, name):
+        from georev.glued import GluedFamilyConfig, build_glued_family
+
+        surf = (unit_sphere() if name == "unit-sphere"
+                else build_glued_family(GluedFamilyConfig(a=0.1)))
+        lo, hi = surf.u2_range
+        ts = np.concatenate([np.linspace(lo, hi, 65), surf.profile.breaks])
+        K, H2, _, _ = surf.curvature_grids(ts)
+        for i, u in enumerate(ts):
+            cd = surf.curvatures_at(u)
+            # one formula on both routes; numpy's vectorized pow may round
+            # the last bit differently from its scalar pow
+            scale = abs(cd.kappa_meridian) + abs(cd.kappa_parallel)
+            assert cd.K == pytest.approx(K[i], rel=1e-14, abs=1e-14 * scale**2)
+            assert cd.abs_H == pytest.approx(math.sqrt(H2[i]), abs=1e-14 * scale)
