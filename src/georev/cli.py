@@ -63,7 +63,7 @@ from .report import (
     write_csv,
     write_json,
 )
-from .spheroid import eval_Ic, solve_for_geodesic
+from .spheroid import SolverError, eval_Ic, solve_for_geodesic
 from .surfaces import (
     ProfileCurve,
     RevolutionSurface,
@@ -216,6 +216,11 @@ def _glued_band(params, tol, outdir, timestamp):
     init = clairaut_state(surf, sol.c * a, u2=center)
     t_max = 4.0 * (N + 1) * math.pi / (2.0 * sol.c) * a * 1.05
     trace = shoot(surf, init, t_max, tol=tol["shoot_tol"])
+    if trace.turning_times.size == 0:
+        raise SolverError(
+            "no latitude turning point found on the geodesic shot on the "
+            "glued spheroid-band surface"
+        )
     t0 = float(trace.turning_times[0])
     rec = closure_check(trace, tol["closure_tol"], t_candidate=4.0 * t0)
     crossings = detect_self_intersections(trace) if rec else []

@@ -9,6 +9,18 @@ test, which keeps per-region curvature integrals accurate to well below the
 grid scale.  Corner angles at the self-intersections are assigned to the
 incident regions by probing along the four sector bisectors.
 
+The redistribution is array code over all blocked cells at once.  Each
+cell's candidate segments (those with an end point in its 3x3
+neighbourhood) come from one sort of the segment end-point cells; cells
+with equally many candidates are evaluated together in bounded chunks.  It
+relies on two facts.  The lift of a subpoint's angle next to a candidate
+segment, round((mid - u1) / 2 pi), is the same for every subpoint of a cell,
+because each candidate lies within about two cells of it, far from the half
+period where the rounding could change.  And each cell's candidates are
+sorted and distinct, so the nearest-segment argmin breaks ties towards the
+first (lowest) segment index.  Per-cell, per-region sums are added in
+subpoint order, then into the region totals in blocked-cell order.
+
 For a region D with exterior angles alpha at its corners the audit
 quantifies the defect identity: integral of K over D equals 2 pi minus the
 sum of the alphas.
@@ -39,6 +51,7 @@ __all__ = [
 
 DEFAULT_GRID = (2048, 1024)
 ANGLE_TOL = 1e-6
+_CHUNK = 1 << 18  # elements per chunk of array work; bounds the temporaries
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
@@ -125,7 +138,6 @@ def _label_with_seam(blocked):
         if a > 0 and b > 0:
             _union(parent, int(a), int(b))
     remap = {}
-    new_labels = np.zeros_like(labels)
     next_id = 0
     roots = np.array([_find(parent, i) for i in range(n + 1)])
     for lab in range(1, n + 1):
@@ -183,12 +195,6 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16,
     iy_e = np.clip(np.floor((u2e - lo) / du2).astype(np.int64), 0, ny - 1)
     blocked[iy_e, ix_e] = True
 
-    # map cell -> sample segment indices (segment i runs from sample i to i+1)
-    cell_segs = {}
-    for arr_x, arr_y in ((ix, iy), (ix_e, iy_e)):
-        for i in range(arr_x.shape[0]):
-            cell_segs.setdefault((int(arr_y[i]), int(arr_x[i])), []).append(i)
-
     labels, m = _label_with_seam(blocked)
     expected = len(crossings) + 2
     if m < expected:
@@ -217,14 +223,16 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16,
     w_row = (dens @ gl_w) * (0.5 * du2) * du1
     kw_row = ((K_n * dens) @ gl_w) * (0.5 * du2) * du1
     ew_row = ((0.25 * H2_n * dens) @ gl_w) * (0.5 * du2) * du1
-    flat = labels.ravel()
-    w_grid = np.broadcast_to(w_row[:, None], (ny, nx)).ravel()
-    k_grid = np.broadcast_to(kw_row[:, None], (ny, nx)).ravel()
-    e_grid = np.broadcast_to(ew_row[:, None], (ny, nx)).ravel()
-    area = np.bincount(flat, weights=w_grid, minlength=m + 1)
-    kda = np.bincount(flat, weights=k_grid, minlength=m + 1)
-    wil = np.bincount(flat, weights=e_grid, minlength=m + 1)
-    cells = np.bincount(flat, minlength=m + 1)
+    # a band of rows at a time, with no full-grid weight copy: np.add.at
+    # adds in cell order, exactly as one bincount over the grid would
+    area, kda, wil = (np.zeros(m + 1) for _ in range(3))
+    cells = np.zeros(m + 1, dtype=np.int64)
+    band = max(1, _CHUNK // nx)
+    for r0 in range(0, ny, band):
+        lab = labels[r0:r0 + band].ravel()
+        for total, row in zip((area, kda, wil), (w_row, kw_row, ew_row)):
+            np.add.at(total, lab, np.repeat(row[r0:r0 + band], nx))
+        cells += np.bincount(lab, minlength=m + 1)
 
     # --- arcs between crossing passages -------------------------------------
     cuts = sorted({float(c.t) for c in crossings} | {float(c.s) for c in crossings})
@@ -234,18 +242,6 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16,
     else:
         arcs = [(0.0, T)]
     arc_lengths = [b - a for a, b in arcs]
-
-    def arc_of_time(t):
-        if not cuts:
-            return 0
-        tm = math.fmod(t - cuts[0], T)
-        if tm < 0:
-            tm += T
-        i = np.searchsorted(np.array(cuts) - cuts[0], tm, side="right") - 1
-        return int(min(max(i, 0), len(arcs) - 1))
-
-    seg_arc = np.array([arc_of_time(0.5 * (ts[i] + (ts[i + 1] if i + 1 < len(ts)
-                        else T))) for i in range(len(ts))])
 
     def label_at_chart(u1, u2):
         cx = int(np.floor(np.mod(u1, 2.0 * math.pi) / du1)) % nx
@@ -277,60 +273,12 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16,
         arc_sides.append((lab_left, lab_right))
 
     # --- redistribute blocked cells by exact side-of-segment tests ----------
-    sub = subsample
-    offs = (np.arange(sub) + 0.5) / sub
-    oy, ox = np.meshgrid(offs, offs, indexing="ij")
-    ox = ox.ravel()
-    oy = oy.ravel()
-    seg_p0 = np.stack([u1s, u2s], axis=1)
-    seg_p1 = np.stack([u1e, u2e], axis=1)
-    two_pi = 2.0 * math.pi
-
-    by, bx = np.nonzero(blocked)
-    for cy, cx in zip(by, bx):
-        cand = []
-        for dy in (-1, 0, 1):
-            yy = cy + dy
-            if yy < 0 or yy >= ny:
-                continue
-            for dx in (-1, 0, 1):
-                cand.extend(cell_segs.get((yy, (cx + dx) % nx), ()))
-        if not cand:
-            continue
-        cand = np.unique(np.asarray(cand, dtype=np.int64))
-        pu1 = (cx + ox) * du1
-        pu2 = lo + (cy + oy) * du2
-        p0 = seg_p0[cand]
-        p1 = seg_p1[cand]
-        mid = 0.5 * (p0[:, 0] + p1[:, 0])
-        # lift the subpoint angle into each candidate segment's neighborhood
-        kshift = np.round((mid[None, :] - pu1[:, None]) / two_pi)
-        qx = pu1[:, None] + two_pi * kshift
-        qy = np.broadcast_to(pu2[:, None], qx.shape)
-        ex = (p1[:, 0] - p0[:, 0])[None, :]
-        ey = (p1[:, 1] - p0[:, 1])[None, :]
-        fx = qx - p0[None, :, 0]
-        fy = qy - p0[None, :, 1]
-        ee = ex * ex + ey * ey
-        tpar = np.clip((fx * ex + fy * ey) / ee, 0.0, 1.0)
-        dx = fx - tpar * ex
-        dy_ = fy - tpar * ey
-        d2 = (dx / du1) ** 2 + (dy_ / du2) ** 2
-        nearest = np.argmin(d2, axis=1)
-        rows = np.arange(pu1.shape[0])
-        cross = ex[0, nearest] * fy[rows, nearest] - ey[0, nearest] * fx[rows, nearest]
-        arcs_near = seg_arc[cand[nearest]]
-        side_left = cross > 0.0
-        lab_sub = np.where(
-            side_left,
-            np.array([arc_sides[a][0] for a in arcs_near]),
-            np.array([arc_sides[a][1] for a in arcs_near]),
-        )
-        Ksub, H2sub, hh, gg = surface.curvature_grids(pu2)
-        wsub = hh * gg * (du1 * du2 / (sub * sub))
-        area += np.bincount(lab_sub, weights=wsub, minlength=m + 1)
-        kda += np.bincount(lab_sub, weights=Ksub * wsub, minlength=m + 1)
-        wil += np.bincount(lab_sub, weights=0.25 * H2sub * wsub, minlength=m + 1)
+    _redistribute(
+        surface, blocked,
+        np.stack([u1s, u2s], axis=1), np.stack([u1e, u2e], axis=1),
+        (iy * nx + ix, iy_e * nx + ix_e), _segment_arcs(ts, T, cuts), arc_sides,
+        (lo, du1, du2), subsample, (area, kda, wil),
+    )
 
     # --- corner angles from the arc adjacency structure ----------------------
     # Each crossing carries four rays (the two passage tangents and their
@@ -434,6 +382,123 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16,
             )
         )
     return regions
+
+
+def _segment_arcs(ts, T, cuts):
+    """Arc index of each raster segment, taken at its time midpoint."""
+    if not cuts:
+        return np.zeros(ts.shape[0], dtype=np.int64)
+    tm = np.fmod(0.5 * (ts + np.append(ts[1:], T)) - cuts[0], T)
+    tm[tm < 0] += T
+    i = np.searchsorted(np.array(cuts) - cuts[0], tm, side="right") - 1
+    return np.clip(i, 0, len(cuts) - 1)
+
+
+def _cell_candidates(blocked, seg_keys):
+    """Distinct segments with an end point in each blocked cell's 3x3 block.
+
+    ``seg_keys`` holds the flat cell index (row * nx + column) of every
+    segment's start and end point.  Rows are clipped at the poles and
+    columns wrap at the seam.  Returns the blocked cells' rows and columns
+    and the (cell, segment) pairs sorted by cell, then segment.
+    """
+    nx = blocked.shape[1]
+    n_seg = seg_keys[0].shape[0]
+    keys = np.concatenate(seg_keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    by, bx = np.nonzero(blocked)
+    # a row beyond a pole gives keys outside [0, ny * nx), which match nothing
+    near = ((by[:, None] + np.repeat([-1, 0, 1], 3)) * nx
+            + (bx[:, None] + np.tile([-1, 0, 1], 3)) % nx)
+    first = np.searchsorted(keys, near, side="left").ravel()
+    count = np.searchsorted(keys, near, side="right").ravel() - first
+    # positions first[r] .. first[r] + count[r] - 1 of every run r, flattened
+    pos = np.repeat(first - (np.cumsum(count) - count), count)
+    pos += np.arange(pos.shape[0])
+    cell = np.repeat(np.arange(by.shape[0]), count.reshape(-1, 9).sum(axis=1))
+    pairs = np.unique(cell * n_seg + order[pos] % n_seg)
+    return by, bx, pairs // n_seg, pairs % n_seg
+
+
+def _redistribute(surface, blocked, seg_p0, seg_p1, seg_keys, seg_arc,
+                  arc_sides, frame, sub, sums):
+    """Add each blocked cell's supersampled integrals to the regions beside it.
+
+    Every one of a cell's sub x sub subpoints goes to the left or right
+    region of its nearest candidate segment.  ``sums`` = (area, KdA,
+    Willmore) per label, updated in place.
+    """
+    lo, du1, du2 = frame
+    ny = blocked.shape[0]
+    n_lab = sums[0].shape[0]
+    by, bx, cell, seg = _cell_candidates(blocked, seg_keys)
+    n_cand = np.bincount(cell, minlength=by.shape[0])
+    first = np.cumsum(n_cand) - n_cand
+    left = np.array([a[0] for a in arc_sides])
+    right = np.array([a[1] for a in arc_sides])
+    two_pi = 2.0 * math.pi
+    offs = (np.arange(sub) + 0.5) / sub
+    # subpoint weights on every (row, sub-row) latitude from one call
+    Ksub, H2sub, hh, gg = surface.curvature_grids(
+        (lo + (np.arange(ny)[:, None] + offs) * du2).ravel()
+    )
+    wsub = hh * gg * (du1 * du2 / (sub * sub))
+    weights = [q.reshape(ny, sub) for q in (wsub, Ksub * wsub, 0.25 * H2sub * wsub)]
+    per_cell = np.zeros((3, by.shape[0], n_lab))
+
+    for k in np.unique(n_cand[n_cand > 0]):
+        group = np.flatnonzero(n_cand == k)
+        step = max(1, _CHUNK // (sub * sub * k))
+        for start in range(0, group.shape[0], step):
+            idx = group[start:start + step]
+            n = idx.shape[0]
+            cy, cx = by[idx], bx[idx]
+            cand = seg[first[idx, None] + np.arange(k)]
+            p0 = seg_p0[cand]
+            p1 = seg_p1[cand]
+            pu1 = (cx[:, None] + offs) * du1
+            pu2 = lo + (cy[:, None] + offs) * du2
+            # lift the subpoint angle into each candidate segment's
+            # neighborhood; every candidate lies within about two cells of
+            # the cell, so the rounding is the same for all its subpoints
+            mid = 0.5 * (p0[..., 0] + p1[..., 0])
+            kshift = np.round((mid - ((cx + 0.5) * du1)[:, None]) / two_pi)
+            ex = p1[..., 0] - p0[..., 0]
+            ey = p1[..., 1] - p0[..., 1]
+            # (cell, sub-column, candidate) and (cell, sub-row, candidate)
+            fx = (pu1[:, :, None] + two_pi * kshift[:, None, :]) - p0[:, None, :, 0]
+            fy = pu2[:, :, None] - p0[:, None, :, 1]
+            ee = ex * ex + ey * ey
+            ex4, ey4 = ex[:, None, None, :], ey[:, None, None, :]
+            # (cell, sub-row, sub-column, candidate) from here on
+            tpar = fx[:, None] * ex4 + fy[:, :, None] * ey4
+            tpar /= ee[:, None, None, :]
+            np.clip(tpar, 0.0, 1.0, out=tpar)
+            dx = fx[:, None] - tpar * ex4
+            tpar *= ey4
+            dy_ = np.subtract(fy[:, :, None], tpar, out=tpar)
+            dx /= du1
+            np.square(dx, out=dx)
+            dy_ /= du2
+            np.square(dy_, out=dy_)
+            dx += dy_
+            nearest = np.argmin(dx, axis=-1)
+            ci = np.arange(n)[:, None, None]
+            cross = (ex[ci, nearest] * fy[ci, np.arange(sub)[:, None], nearest]
+                     - ey[ci, nearest] * fx[ci, np.arange(sub), nearest])
+            arcs_near = seg_arc[cand[ci, nearest]]
+            lab_sub = np.where(cross > 0.0, left[arcs_near], right[arcs_near])
+            key = (ci * n_lab + lab_sub).ravel()
+            for q, w in enumerate(weights):
+                per_cell[q, idx] = np.bincount(
+                    key, weights=np.repeat(w[cy], sub, axis=1).ravel(),
+                    minlength=n * n_lab,
+                ).reshape(n, n_lab)
+
+    # add the cells into the totals one by one, in blocked-cell order
+    for total, part in zip(sums, per_cell):
+        total[:] = np.add.accumulate(np.vstack([total, part]), axis=0)[-1]
 
 
 def region_gauss_bonnet(region, xi=None, tol=1e-3):

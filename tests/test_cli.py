@@ -117,6 +117,27 @@ class TestGluedCommand:
         assert summary["notes"] == []
         assert abs(summary["neck_geodesic_length"] - 2 * math.pi * 0.05) < 1e-9
 
+    def test_band_without_turning_point(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        import georev.cli as cli
+
+        real_shoot = cli.shoot
+
+        def shoot_without_turning(*args, **kwargs):
+            trace = real_shoot(*args, **kwargs)
+            trace.turning_times = np.empty(0)
+            return trace
+
+        monkeypatch.setattr(cli, "shoot", shoot_without_turning)
+        out = tmp_path / "run"
+        rc = run(["glued", "--kind", "spheroid-band", "--out", out,
+                  "--no-timestamp"])
+        assert rc == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "SolverError"
+        assert "turning point" in err["error"]
+
 
 class TestAuditExitCodes:
     def test_audits_exit_zero(self, tmp_path):

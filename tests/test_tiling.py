@@ -1,8 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
-from georev.geodesics import closure_check, detect_self_intersections, parallel_state, shoot
+from georev import tiling
+from georev.geodesics import (
+    clairaut_state,
+    closure_check,
+    detect_self_intersections,
+    parallel_state,
+    shoot,
+)
 from georev.surfaces import unit_sphere
 from georev.tiling import (
     ResolutionError,
@@ -170,3 +178,159 @@ class TestExports:
         head = text.splitlines()
         assert head[0] == "P2"
         assert head[1] == "512 256"
+
+
+# -- reference per-cell loop ----------------------------------------------------
+
+
+def _reference_segment_arcs(ts, T, cuts):
+    def arc_of_time(t):
+        if not cuts:
+            return 0
+        tm = math.fmod(t - cuts[0], T)
+        if tm < 0:
+            tm += T
+        i = np.searchsorted(np.array(cuts) - cuts[0], tm, side="right") - 1
+        return int(min(max(i, 0), len(cuts) - 1))
+
+    return np.array([arc_of_time(0.5 * (ts[i] + (ts[i + 1] if i + 1 < len(ts)
+                     else T))) for i in range(len(ts))])
+
+
+def _reference_redistribute(surface, blocked, seg_p0, seg_p1, seg_keys, seg_arc,
+                            arc_sides, frame, sub, sums):
+    """One blocked cell at a time: candidates from a dict, then nearest segment."""
+    lo, du1, du2 = frame
+    ny, nx = blocked.shape
+    area, kda, wil = sums
+    m = area.shape[0] - 1
+    cell_segs = {}
+    for keys in seg_keys:
+        for i, key in enumerate(keys):
+            cell_segs.setdefault(divmod(int(key), nx), []).append(i)
+    offs = (np.arange(sub) + 0.5) / sub
+    oy, ox = np.meshgrid(offs, offs, indexing="ij")
+    ox = ox.ravel()
+    oy = oy.ravel()
+    two_pi = 2.0 * math.pi
+    by, bx = np.nonzero(blocked)
+    for cy, cx in zip(by, bx):
+        cand = []
+        for dy in (-1, 0, 1):
+            yy = cy + dy
+            if yy < 0 or yy >= ny:
+                continue
+            for dx in (-1, 0, 1):
+                cand.extend(cell_segs.get((yy, (cx + dx) % nx), ()))
+        if not cand:
+            continue
+        cand = np.unique(np.asarray(cand, dtype=np.int64))
+        pu1 = (cx + ox) * du1
+        pu2 = lo + (cy + oy) * du2
+        p0 = seg_p0[cand]
+        p1 = seg_p1[cand]
+        mid = 0.5 * (p0[:, 0] + p1[:, 0])
+        kshift = np.round((mid[None, :] - pu1[:, None]) / two_pi)
+        qx = pu1[:, None] + two_pi * kshift
+        qy = np.broadcast_to(pu2[:, None], qx.shape)
+        ex = (p1[:, 0] - p0[:, 0])[None, :]
+        ey = (p1[:, 1] - p0[:, 1])[None, :]
+        fx = qx - p0[None, :, 0]
+        fy = qy - p0[None, :, 1]
+        ee = ex * ex + ey * ey
+        tpar = np.clip((fx * ex + fy * ey) / ee, 0.0, 1.0)
+        dx = fx - tpar * ex
+        dy_ = fy - tpar * ey
+        d2 = (dx / du1) ** 2 + (dy_ / du2) ** 2
+        nearest = np.argmin(d2, axis=1)
+        rows = np.arange(pu1.shape[0])
+        cross = ex[0, nearest] * fy[rows, nearest] - ey[0, nearest] * fx[rows, nearest]
+        arcs_near = seg_arc[cand[nearest]]
+        lab_sub = np.where(
+            cross > 0.0,
+            np.array([arc_sides[a][0] for a in arcs_near]),
+            np.array([arc_sides[a][1] for a in arcs_near]),
+        )
+        Ksub, H2sub, hh, gg = surface.curvature_grids(pu2)
+        wsub = hh * gg * (du1 * du2 / (sub * sub))
+        area += np.bincount(lab_sub, weights=wsub, minlength=m + 1)
+        kda += np.bincount(lab_sub, weights=Ksub * wsub, minlength=m + 1)
+        wil += np.bincount(lab_sub, weights=0.25 * H2sub * wsub, minlength=m + 1)
+
+
+def _near_polar_great_circle():
+    s = unit_sphere()
+    tr = shoot(s, clairaut_state(s, 0.01), 7.0)
+    closure_check(tr, 1e-8, t_candidate=2.0 * math.pi)
+    detect_self_intersections(tr)
+    return s, tr
+
+
+def _equator():
+    s = unit_sphere()
+    tr = shoot(s, parallel_state(s, 0.0), 7.0)
+    closure_check(tr, 1e-8, t_candidate=2.0 * math.pi)
+    detect_self_intersections(tr)
+    return s, tr
+
+
+class TestReferenceLoop:
+    """The array redistribution equals the per-cell loop bit for bit."""
+
+    GRID = (256, 128)
+
+    @pytest.fixture(params=["equator", "n3", "near-polar"])
+    def surface_trace(self, request, case_n3_e02):
+        if request.param == "n3":
+            return case_n3_e02[1], case_n3_e02[2]
+        return _equator() if request.param == "equator" else _near_polar_great_circle()
+
+    def test_equals_reference_loop(self, surface_trace, monkeypatch):
+        surf, tr = surface_trace
+        got = decompose_regions(surf, tr, grid=self.GRID, subsample=4)
+        monkeypatch.setattr(tiling, "_segment_arcs", _reference_segment_arcs)
+        monkeypatch.setattr(tiling, "_redistribute", _reference_redistribute)
+        want = decompose_regions(surf, tr, grid=self.GRID, subsample=4)
+        assert len(got) == len(want) == len(tr.crossings) + 2
+        for g, w in zip(got, want):
+            assert (g.area, g.KdA, g.willmore, g.cell_count) == (
+                w.area, w.KdA, w.willmore, w.cell_count)
+
+    def test_near_polar_case_touches_seam_and_pole_rows(self):
+        surf, tr = _near_polar_great_circle()
+        assert not tr.crossings
+        blocked = decompose_regions(surf, tr, grid=self.GRID,
+                                    subsample=4)[0].decomposition.blocked
+        assert blocked[0].any() and blocked[-1].any()
+        assert blocked[:, 0].any() and blocked[:, -1].any()
+
+    def test_candidates_equal_reference(self):
+        # a small grid with end points in the first and last rows and on
+        # both sides of the seam; many segments share cells
+        rng = np.random.default_rng(5)
+        ny, nx = 8, 16
+        seg_keys = (rng.integers(0, ny * nx, 300), rng.integers(0, ny * nx, 300))
+        blocked = np.zeros((ny, nx), dtype=bool)
+        for keys in seg_keys:
+            blocked.flat[keys] = True
+        cell_segs = {}
+        for keys in seg_keys:
+            for i, key in enumerate(keys):
+                cell_segs.setdefault(divmod(int(key), nx), []).append(i)
+        by, bx, cell, seg = tiling._cell_candidates(blocked, seg_keys)
+        np.testing.assert_array_equal(np.stack([by, bx]), np.nonzero(blocked))
+        for k, (cy, cx) in enumerate(zip(by, bx)):
+            cand = [i for dy in (-1, 0, 1) if 0 <= cy + dy < ny
+                    for dx in (-1, 0, 1)
+                    for i in cell_segs.get((cy + dy, (cx + dx) % nx), ())]
+            np.testing.assert_array_equal(seg[cell == k], np.unique(cand))
+
+    def test_segment_arcs_equal_reference(self, case_n3_e02):
+        tr = case_n3_e02[2]
+        T = tr.closure.period
+        cuts = sorted({float(c.t) for c in tr.crossings}
+                      | {float(c.s) for c in tr.crossings})
+        ts = np.linspace(0.0, T, 4096, endpoint=False)
+        for c in (cuts, []):
+            np.testing.assert_array_equal(tiling._segment_arcs(ts, T, c),
+                                          _reference_segment_arcs(ts, T, c))
