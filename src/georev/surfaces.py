@@ -441,7 +441,9 @@ def _principal_curvatures(h, dh, d2h, dg, d2g):
     orthogonally (umbilic point).
     """
     gam = np.hypot(dh, dg)
-    km = (dh * d2g - dg * d2h) / gam**3
+    # a product, not gam**3: numpy's vectorized pow may round the last bit
+    # differently from its scalar pow, products round the same on both
+    km = (dh * d2g - dg * d2h) / (gam * gam * gam)
     with np.errstate(divide="ignore", invalid="ignore"):
         kp = np.where(np.abs(h) < _POLE_TOL, d2g / (dh * gam), dg / (h * gam))
     return km, kp, gam

@@ -300,8 +300,8 @@ class TestJet:
         K, H2, _, _ = surf.curvature_grids(ts)
         for i, u in enumerate(ts):
             cd = surf.curvatures_at(u)
-            # one formula on both routes; numpy's vectorized pow may round
-            # the last bit differently from its scalar pow
-            scale = abs(cd.kappa_meridian) + abs(cd.kappa_parallel)
-            assert cd.K == pytest.approx(K[i], rel=1e-14, abs=1e-14 * scale**2)
-            assert cd.abs_H == pytest.approx(math.sqrt(H2[i]), abs=1e-14 * scale)
+            # one formula on both routes, rounded identically
+            H = cd.kappa_meridian + cd.kappa_parallel
+            assert cd.K == K[i]
+            assert H * H == H2[i]
+            assert cd.abs_H == abs(H)
