@@ -1,6 +1,9 @@
 import json
 import math
 
+import numpy as np
+
+import georev.cli as cli
 from georev.cli import main
 
 
@@ -118,10 +121,6 @@ class TestGluedCommand:
         assert abs(summary["neck_geodesic_length"] - 2 * math.pi * 0.05) < 1e-9
 
     def test_band_without_turning_point(self, tmp_path, monkeypatch):
-        import numpy as np
-
-        import georev.cli as cli
-
         real_shoot = cli.shoot
 
         def shoot_without_turning(*args, **kwargs):

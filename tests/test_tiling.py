@@ -296,6 +296,17 @@ class TestReferenceLoop:
             assert (g.area, g.KdA, g.willmore, g.cell_count) == (
                 w.area, w.KdA, w.willmore, w.cell_count)
 
+    def test_chunk_size_does_not_change_sums(self, case_n3_e02, monkeypatch):
+        # small chunks split the interior sums into bands of 3 rows and the
+        # redistribution into a few cells per chunk
+        surf, tr = case_n3_e02[1], case_n3_e02[2]
+        want = decompose_regions(surf, tr, grid=self.GRID, subsample=4)
+        monkeypatch.setattr(tiling, "_CHUNK", 1000)
+        got = decompose_regions(surf, tr, grid=self.GRID, subsample=4)
+        for g, w in zip(got, want):
+            assert (g.area, g.KdA, g.willmore, g.cell_count) == (
+                w.area, w.KdA, w.willmore, w.cell_count)
+
     def test_near_polar_case_touches_seam_and_pole_rows(self):
         surf, tr = _near_polar_great_circle()
         assert not tr.crossings
