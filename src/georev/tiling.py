@@ -103,7 +103,6 @@ class RegionDecomposition:
     grid: tuple
     labels: np.ndarray
     blocked: np.ndarray
-    regions: list
     xi: float
     total_area: float
     total_willmore: float
@@ -356,7 +355,6 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16,
         grid=grid,
         labels=labels,
         blocked=blocked,
-        regions=regions,
         xi=xi,
         total_area=total_area,
         total_willmore=total_w,

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -62,6 +64,20 @@ class TestEquator:
         for rep in complement_energy_audit(regions, tol=1e-3):
             assert rep.passed
             assert rep.lhs == pytest.approx(2.0 * math.pi, abs=1e-6)
+
+
+class TestLifetime:
+    def test_decomposition_dies_with_its_regions(self):
+        # no reference cycle: the grids are freed by reference counting alone
+        s, tr = _equator()
+        gc.disable()
+        try:
+            regions = decompose_regions(s, tr, grid=(64, 32), subsample=2)
+            deco = weakref.ref(regions[0].decomposition)
+            del regions
+            assert deco() is None
+        finally:
+            gc.enable()
 
 
 class TestSolvedCase:
