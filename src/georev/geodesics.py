@@ -6,15 +6,20 @@ Integrates the geodesic system
     u2'' - (h h'/gamma^2) u1'^2 + (gamma'/gamma) u2'^2 = 0
 
 (coefficients from ``ProfileCurve.christoffel``) with an adaptive explicit
-Runge-Kutta scheme, monitoring (not enforcing) the two conserved quantities
-of a unit-speed Clairaut geodesic: the speed E u1'^2 + G u2'^2 = 1 and the
+Runge-Kutta scheme (DOP853 by default, Hairer, Norsett & Wanner, Solving
+ODEs I, II.5), monitoring (not enforcing) the two conserved quantities of a
+unit-speed Clairaut geodesic: the speed E u1'^2 + G u2'^2 = 1 and the
 Clairaut constant c = u1' h(u2)^2.  The angle u1 is tracked in the universal
 cover (never reduced mod 2 pi inside the integrator).
 
-Closure is certified by position and tangent defects at a candidate period;
-self-intersections are located by a sweep over the sampled polyline in the
-(u1 mod 2 pi, u2) cylinder and refined to solver accuracy by a 2D Newton
-iteration on the two curve times.
+Closure is certified by position and tangent defects at a candidate period.
+Self-intersections come from the mirror symmetry of a Clairaut geodesic:
+the reflection in the meridian through a latitude turning point t_j maps
+the geodesic to itself with t -> 2 t_j - t.  Two passages through one point
+have opposite u2', so they form such a mirror pair, and each crossing is a
+root of u1(t) = u1(t_j) + k pi, found by a bracketed solve on the monotone
+u1 (u1' = c / h^2).  Its partner time is 2 t_j - t, reduced modulo the
+period.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp, trapezoid
+from scipy.optimize import brentq
 
 __all__ = [
     "GeodesicState",
@@ -45,6 +51,7 @@ __all__ = [
 DEFAULT_SHOOT_TOL = 1e-12
 DEFAULT_CLOSURE_TOL = 1e-6
 ANGLE_FLOOR = 1e-3
+CROSSING_TOL = 1e-8  # the two passages of a crossing meet within this in (u1, u2)
 
 
 class IntegrationError(RuntimeError):
@@ -247,18 +254,18 @@ def _shoot_meridian(surface, init, t_end, tol):
     return trace
 
 
-def shoot(surface, init, t_end, tol=DEFAULT_SHOOT_TOL, method="RK45"):
+def shoot(surface, init, t_end, tol=DEFAULT_SHOOT_TOL, method="DOP853"):
     """Integrate the geodesic through ``init`` for time t_end.
 
     Returns a GeodesicTrace with dense output and the zero-crossing times of
-    u2' (latitude turning points) recorded.
+    u2' (latitude turning points) recorded.  On a parallel u2' vanishes
+    identically, so it has no turning points; its trace is marked
+    ``meta["parallel"]``.
     """
     h0 = float(surface.profile.h(init.u2))
     c = init.du1 * h0 * h0
     if abs(c) < 1e-13 and abs(init.du1) < 1e-13:
         return _shoot_meridian(surface, init, t_end, tol)
-
-    turning = []
 
     def du2_zero(t, y):
         return y[3]
@@ -279,10 +286,12 @@ def shoot(surface, init, t_end, tol=DEFAULT_SHOOT_TOL, method="RK45"):
         partial = GeodesicTrace(surface, res.t, res.y, c, sol=res.sol)
         raise IntegrationError(f"geodesic integration failed: {res.message}",
                                trace=partial)
-    turning = res.t_events[0] if res.t_events else np.empty(0)
-    return GeodesicTrace(
-        surface, res.t, res.y, c, sol=res.sol, turning_times=np.asarray(turning)
-    )
+    parallel = not np.any(res.y[3])
+    turning = np.empty(0) if parallel else res.t_events[0]
+    trace = GeodesicTrace(surface, res.t, res.y, c, sol=res.sol, turning_times=turning)
+    if parallel:
+        trace.meta["parallel"] = True
+    return trace
 
 
 def _wrap_pi(x):
@@ -391,162 +400,110 @@ def trace_length(trace, t_range=None, n_check=2048):
 # -- self-intersection extraction ------------------------------------------------
 
 
-def _segment_hit(p0, p1, q0, q1, slack=1e-4):
-    """Parameters (alpha, beta) of the intersection of two planar segments, or None.
+def _canonical_time(t, t_start, T):
+    """Representative of t modulo T in [t_start, t_start + T)."""
+    r = math.fmod(t - t_start, T)
+    if r < 0.0:
+        r += T
+    if r >= T:  # a tiny negative remainder rounds up to T
+        r = 0.0
+    return t_start + r
 
-    A small slack beyond [0, 1] keeps crossings that sit exactly on a sample
-    vertex; the Newton refinement and the deduplication absorb the resulting
-    duplicate candidates.
+
+def _passage_times(trace, t_lo, t_hi, targets, sign):
+    """Times in (t_lo, t_hi) where sign * u1 reaches each target.
+
+    sign * u1 is strictly increasing (u1' = c / h^2), so each target is
+    bracketed by the accepted steps around it and found by ``brentq``.
     """
-    r = (p1[0] - p0[0], p1[1] - p0[1])
-    w = (q1[0] - q0[0], q1[1] - q0[1])
-    den = r[0] * w[1] - r[1] * w[0]
-    if den == 0.0:
-        return None
-    dx, dy = q0[0] - p0[0], q0[1] - p0[1]
-    alpha = (dx * w[1] - dy * w[0]) / den
-    beta = (dx * r[1] - dy * r[0]) / den
-    if -slack <= alpha <= 1.0 + slack and -slack <= beta <= 1.0 + slack:
-        return alpha, beta
-    return None
+    ts = trace.ts
+    w = sign * trace.ys[0]
+    out = []
+    for target in targets:
+        i = int(np.searchsorted(w, target))
+        lo = max(float(ts[max(i - 2, 0)]), t_lo)
+        hi = min(float(ts[min(i + 1, ts.size - 1)]), t_hi)
+        out.append(brentq(lambda t: sign * trace.eval(t)[0] - target, lo, hi,
+                          xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
+    return out
 
 
-def _refine_crossing(trace, t_guess, s_guess, k_wind):
-    """Newton on F(t, s) = (u1(t) - u1(s) - 2 pi k, u2(t) - u2(s))."""
-    t, s = t_guess, s_guess
-    two_pi_k = 2.0 * math.pi * k_wind
-    for _ in range(30):
-        yt = trace.eval(t)
-        ys_ = trace.eval(s)
-        F = np.array([yt[0] - ys_[0] - two_pi_k, yt[1] - ys_[1]])
-        if np.max(np.abs(F)) < 1e-13:
-            break
-        J = np.array([[yt[2], -ys_[2]], [yt[3], -ys_[3]]])
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return None
-        t += float(step[0])
-        s += float(step[1])
-        if not (trace.ts[0] - 1e-9 <= t <= trace.t_end + 1e-9):
-            return None
-        if not (trace.ts[0] - 1e-9 <= s <= trace.t_end + 1e-9):
-            return None
-    else:
-        return None
-    return t, s
-
-
-def detect_self_intersections(
-    trace, n_samples=4096, angle_floor=ANGLE_FLOOR, period=None
-):
+def detect_self_intersections(trace, angle_floor=ANGLE_FLOOR, period=None):
     """All transversal self-intersections of a closed trace over one period.
 
-    Crossings are located on the sampled polyline in the (u1 mod 2 pi, u2)
-    cylinder (seam handled by duplicating segments shifted by 2 pi), refined
-    by Newton on the two times, deduplicated modulo the period, and returned
-    with their metric crossing angles.  Near-tangential candidates below
-    ``angle_floor`` raise a DegenerateCrossingWarning and are dropped.
+    Uses the mirror symmetry of Clairaut geodesics: the trace is symmetric
+    under t -> 2 t_j - t, u1 -> 2 u1(t_j) - u1 about every latitude turning
+    time t_j.  Two passages through one point have opposite u2', so every
+    crossing pair (t, s) is such a mirror pair, t + s = 2 t_j, and
+    u1(t) = u1(t_j) + k pi.  The period T must be q latitude periods
+    P = 2 (t_1 - t_0).  Each crossing is found once as a pair about one of
+    t_0..t_{q-1} with t in (t_j, t_j + T/2); u1 advances by p pi over T/2,
+    so k = 1..p-1, and a closed trace has q (p - 1) candidates.  Both times
+    are reduced into [t_start, t_start + T), each pair must meet within
+    ``CROSSING_TOL`` plus ten times the closure defects (else
+    IntegrationError), and pairs whose metric angle is within
+    ``angle_floor`` of 0 or pi raise a DegenerateCrossingWarning and are
+    dropped.  Parallels and meridians are simple curves and have none.
     """
     if period is None:
         if trace.closure is None:
             raise ValueError("trace is not certified closed; run closure_check first")
         period = trace.closure.period
     T = float(period)
-    t0 = float(trace.ts[0])
-    ts = np.linspace(t0, t0 + T, n_samples, endpoint=False)
-    ys = trace.eval(ts)
-    u1 = ys[0]
-    u2 = ys[1]
-
-    # polyline segments (wrapping back to the start point, lifted in u1)
-    y_end = trace.eval(t0 + T)
-    t_next = np.roll(ts, -1).copy()
-    t_next[-1] = t0 + T
-    u1n = np.roll(u1, -1).copy()
-    u1n[-1] = float(y_end[0])
-    u2n = np.roll(u2, -1).copy()
-    u2n[-1] = float(y_end[1])
-
-    segs = []  # (x0, y0, x1, y1, i, shift)
+    if trace.meta.get("meridian") or trace.meta.get("parallel"):
+        trace.crossings = []
+        return []
+    turns = np.asarray(trace.turning_times, dtype=float)
+    if turns.size < 2:
+        raise NeedsMoreTimeError("crossings need two latitude turning times")
+    P = 2.0 * float(turns[1] - turns[0])
+    q = round(T / P)
+    if q < 1 or abs(T / P - q) > 1e-3:
+        raise ValueError(
+            f"period {T:.12g} is not a multiple of the latitude period {P:.12g}"
+        )
+    if turns.size < q:
+        raise NeedsMoreTimeError(f"crossings need {q} latitude turning times")
+    t_start = float(trace.ts[0])
+    sign = 1.0 if trace.clairaut_c > 0.0 else -1.0
     two_pi = 2.0 * math.pi
-    for i in range(n_samples):
-        a, b = u1[i], u1n[i]
-        base = math.floor(min(a, b) / two_pi)
-        for k in (base, base + 1):
-            sh = -two_pi * k
-            x0, x1 = a + sh, b + sh
-            if max(x0, x1) < -1e-9 or min(x0, x1) > two_pi + 1e-9:
-                continue
-            segs.append((min(x0, x1), max(x0, x1), x0, u2[i], x1, u2n[i], i, sh))
-
-    segs.sort(key=lambda s: s[0])
-    hits = []
-    active = []
-    for seg in segs:
-        xmin = seg[0]
-        active = [s for s in active if s[1] >= xmin]
-        for other in active:
-            i, j = seg[6], other[6]
-            if i == j:
-                continue
-            di = min((i - j) % n_samples, (j - i) % n_samples)
-            if di <= 1:
-                continue
-            if min(seg[3], seg[5]) > max(other[3], other[5]):
-                continue
-            if max(seg[3], seg[5]) < min(other[3], other[5]):
-                continue
-            hit = _segment_hit(
-                (seg[2], seg[3]), (seg[4], seg[5]),
-                (other[2], other[3]), (other[4], other[5]),
-            )
-            if hit is None:
-                continue
-            alpha, beta = hit
-            ta = ts[i] + alpha * (t_next[i] - ts[i])
-            tb = ts[j] + beta * (t_next[j] - ts[j])
-            hits.append((ta, tb))
-        active.append(seg)
+    u1_ends = trace.eval(np.array([t_start, t_start + T]))[0]
+    p = round(sign * float(u1_ends[1] - u1_ends[0]) / two_pi)
+    # a pair's defect is integration error, as the closure defect is; the
+    # reduction modulo T adds the closure defect, grown along the trace
+    tol = CROSSING_TOL
+    if trace.closure is not None:
+        tol += 10.0 * (trace.closure.position_defect + trace.closure.tangent_defect)
 
     crossings = []
-    seen = []
-    for ta, tb in hits:
-        ya, yb = trace.eval(ta), trace.eval(tb)
-        k = round((ya[0] - yb[0]) / two_pi)
-        ref = _refine_crossing(trace, ta, tb, k)
-        if ref is None:
-            continue
-        t_hi, t_lo = max(ref), min(ref)
-        # canonical representative modulo the period
-        t_lo_m = t0 + math.fmod(t_lo - t0, T)
-        t_hi_m = t0 + math.fmod(t_hi - t0, T)
-        a, b = sorted((t_lo_m, t_hi_m))
-        if abs(a - b) < 1e-9 * T or abs(abs(a - b) - T) < 1e-9 * T:
-            continue
-        if any(abs(a - p) < 1e-6 * T and abs(b - q) < 1e-6 * T for p, q in seen):
-            continue
-        seen.append((a, b))
-        y1, y2 = trace.eval(a), trace.eval(b)
-        E, _, G = trace.surface.metric_at(float(y1[1]))
-        cosang = E * y1[2] * y2[2] + G * y1[3] * y2[3]
-        ang = math.acos(max(-1.0, min(1.0, cosang)))
-        if ang < angle_floor or ang > math.pi - angle_floor:
-            warnings.warn(
-                f"near-tangential crossing candidate at times ({a:.6f}, {b:.6f}), "
-                f"angle {ang:.2e}",
-                DegenerateCrossingWarning,
-            )
-            continue
-        crossings.append(
-            Crossing(
-                t=a,
-                s=b,
-                u1=float(np.mod(y1[0], two_pi)),
-                u2=float(y1[1]),
-                angle=ang,
-            )
-        )
+    for t_j in map(float, turns[:q]):
+        targets = sign * float(trace.eval(t_j)[0]) + math.pi * np.arange(1, p)
+        for t_k in _passage_times(trace, t_j, t_j + 0.5 * T, targets, sign):
+            a, b = sorted((_canonical_time(t_k, t_start, T),
+                           _canonical_time(2.0 * t_j - t_k, t_start, T)))
+            y = trace.eval(np.array([a, b]))
+            y1, y2 = y[:, 0], y[:, 1]
+            defect = math.hypot(float(_wrap_pi(y1[0] - y2[0])), float(y1[1] - y2[1]))
+            if not defect <= tol:
+                raise IntegrationError(
+                    f"crossing passages at times ({a:.6f}, {b:.6f}) miss by "
+                    f"{defect:.3e} > {tol:.1e}; the trace is not mirror-symmetric "
+                    f"to tolerance",
+                    trace=trace,
+                )
+            E, _, G = trace.surface.metric_at(float(y1[1]))
+            cosang = E * y1[2] * y2[2] + G * y1[3] * y2[3]
+            ang = math.acos(max(-1.0, min(1.0, float(cosang))))
+            if ang < angle_floor or ang > math.pi - angle_floor:
+                warnings.warn(
+                    f"near-tangential crossing candidate at times ({a:.6f}, {b:.6f}), "
+                    f"angle {ang:.2e}",
+                    DegenerateCrossingWarning,
+                )
+                continue
+            crossings.append(Crossing(
+                t=a, s=b, u1=float(np.mod(y1[0], two_pi)), u2=float(y1[1]), angle=ang,
+            ))
     crossings.sort(key=lambda cr: cr.t)
     trace.crossings = crossings
     return crossings

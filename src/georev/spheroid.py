@@ -148,7 +148,6 @@ def solve_for_geodesic(
     shoot_tol=1e-12,
     closure_tol=1e-6,
     verify=True,
-    n_samples=4096,
 ):
     """Find (b, c) so the spheroid carries a closed geodesic with N crossings.
 
@@ -203,7 +202,7 @@ def solve_for_geodesic(
             f"(position defect {pos:.3e}, tangent defect {tan:.3e}, "
             f"tolerance {closure_tol:.1e})"
         )
-    crossings = detect_self_intersections(trace, n_samples=n_samples)
+    crossings = detect_self_intersections(trace)
     length = trace_length(trace, (0.0, rec.period))
     max_u2 = float(np.max(np.abs(trace.eval(
         np.linspace(0.0, rec.period, 4096))[1])))

@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from georev.geodesics import (
     DegenerateCrossingWarning,
+    IntegrationError,
     NeedsMoreTimeError,
     clairaut_state,
     closure_check,
@@ -16,6 +18,10 @@ from georev.geodesics import (
 )
 from georev.spheroid import eval_Ic
 from georev.surfaces import spheroid_surface, unit_sphere
+from conftest import solved_case
+from polyline_oracle import polyline_crossings, same_pairs
+
+FAILURE_MAP = [(N, eps) for eps in (0.02, 0.2, 0.453, 0.6) for N in range(1, 13)]
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +63,19 @@ class TestShoot:
         turns = tr.turning_times[tr.turning_times < 2.0 * sol.t0]
         maxima = [t for t in turns if float(tr.eval(t)[1]) > 0.0]
         assert len(maxima) == 1
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_parallel_has_no_turning_times(self, sphere, method):
+        # u2' vanishes identically on the equator, so no turning point exists
+        tr = shoot(sphere, parallel_state(sphere, 0.0), 7.0, method=method)
+        assert tr.turning_times.size == 0
+        assert tr.meta["parallel"]
+
+    @pytest.mark.parametrize("N", [3, 9])
+    def test_dop853_closure_defects(self, N):
+        sol, _, tr = solved_case(N, 0.2)
+        assert sol.closure_position_defect < 1e-10
+        assert sol.closure_tangent_defect < 1e-10
 
     def test_step_metadata(self, sphere):
         tr = shoot(sphere, parallel_state(sphere, 0.0), 10.0)
@@ -103,6 +122,11 @@ class TestCrossings:
         closure_check(tr, 1e-8, t_candidate=2.0 * math.pi)
         assert detect_self_intersections(tr) == []
 
+    def test_meridian_has_none(self, sphere):
+        tr = shoot(sphere, clairaut_state(sphere, 0.0), 13.0)
+        closure_check(tr, 1e-8)
+        assert detect_self_intersections(tr) == []
+
     def test_solved_counts(self, case_n3_e02, case_n4_e01):
         sol3, _, tr3 = case_n3_e02
         sol4, _, tr4 = case_n4_e01
@@ -110,9 +134,12 @@ class TestCrossings:
         assert sol4.crossings == 4
 
     def test_count_stable_under_refinement(self, case_n3_e02):
+        # the polyline oracle agrees with the mirror route at both sample counts
         _, _, tr = case_n3_e02
-        assert len(detect_self_intersections(tr, n_samples=2048)) == 3
-        assert len(detect_self_intersections(tr, n_samples=8192)) == 3
+        found = [(cr.t, cr.s) for cr in detect_self_intersections(tr)]
+        assert len(found) == 3
+        for n in (2048, 8192):
+            assert same_pairs(found, polyline_crossings(tr, n), tr.closure.period)
 
     def test_angles_transversal_and_consistent(self, case_n4_e02):
         sol, surf, tr = case_n4_e02
@@ -139,6 +166,95 @@ class TestCrossings:
         tr = shoot(sphere, parallel_state(sphere, 0.0), 7.0)
         with pytest.raises(ValueError):
             detect_self_intersections(tr)
+
+
+def _crossing_pairs(trace):
+    return [(cr.t, cr.s) for cr in detect_self_intersections(trace)]
+
+
+def _pair_defect(trace, cr):
+    y = trace.eval(np.array([cr.t, cr.s]))
+    return math.hypot(float(_wrap(y[0, 0] - y[0, 1])), float(y[1, 0] - y[1, 1]))
+
+
+def _wrap(x):
+    return (x + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _reshoot(sol, surf, method):
+    """The solved geodesic shot again with another integrator, closure-checked."""
+    tr = shoot(surf, clairaut_state(surf, sol.c), 1.05 * sol.length, method=method)
+    assert closure_check(tr, 1e-6, t_candidate=4.0 * float(tr.turning_times[0]))
+    return tr
+
+
+class TestMirrorRoute:
+    """Crossings from the mirror symmetry, against the polyline oracle."""
+
+    @pytest.mark.parametrize("N,eps", FAILURE_MAP)
+    def test_failure_map_dop853(self, N, eps):
+        sol, _, tr = solved_case(N, eps)
+        assert sol.crossings == N
+        assert max(_pair_defect(tr, cr) for cr in tr.crossings) < 1e-9
+        assert same_pairs(_crossing_pairs(tr), polyline_crossings(tr),
+                          tr.closure.period)
+
+    @pytest.mark.parametrize("N,eps", [(N, e) for N, e in FAILURE_MAP if N % 2])
+    def test_odd_n_rk45(self, N, eps):
+        # odd N crosses itself at the start point t = 0 = T, exactly once
+        sol, surf, _ = solved_case(N, eps)
+        tr = _reshoot(sol, surf, "RK45")
+        found = detect_self_intersections(tr)
+        assert len(found) == N
+        assert max(_pair_defect(tr, cr) for cr in found) < 1e-9
+
+    @pytest.mark.parametrize("N", [3, 9])
+    def test_start_phase_shift(self, N):
+        # launched mid-oscillation, the same geodesic has the same crossing points
+        sol, surf, tr = solved_case(N, 0.2)
+        T = tr.closure.period
+        init = tr.state(0.37 * T)
+        shifted = shoot(surf, init, 1.05 * T)
+        assert closure_check(shifted, 1e-6, t_candidate=T)
+        found = detect_self_intersections(shifted)
+        assert len(found) == N
+        assert all(init.t <= cr.t < cr.s < init.t + T for cr in found)
+        for cr in found:
+            assert min(math.hypot(_wrap(cr.u1 - ref.u1), cr.u2 - ref.u2)
+                       for ref in tr.crossings) < 1e-8
+        assert same_pairs(_crossing_pairs(shifted), polyline_crossings(shifted), T)
+
+    def test_two_latitude_periods(self):
+        # I_c = 5 pi / 2: u1 gains 5 pi per latitude period, so the geodesic
+        # closes after q = 2 of them, winding p = 5 times: q (p - 1) = 8 crossings
+        c = math.cos(0.2 * 0.999)
+        b = brentq(lambda b: eval_Ic(b, c) - 2.5 * math.pi, 2.0, 3.5, xtol=1e-14)
+        surf = spheroid_surface(b)
+        tr = shoot(surf, clairaut_state(surf, c), 10.0 * math.pi / c)
+        rec = closure_check(tr, 1e-6, t_candidate=8.0 * float(tr.turning_times[0]))
+        assert rec is not None
+        found = _crossing_pairs(tr)
+        assert len(found) == 8
+        assert same_pairs(found, polyline_crossings(tr), rec.period)
+
+    @pytest.mark.parametrize("N,eps", [(3, 0.2), (9, 0.2), (7, 0.453)])
+    def test_oracle_sample_counts(self, N, eps):
+        _, _, tr = solved_case(N, eps)
+        found = _crossing_pairs(tr)
+        for n in (1024, 4096, 16384):
+            assert same_pairs(found, polyline_crossings(tr, n), tr.closure.period)
+
+    def test_pair_defect_raises(self, case_n3_e02):
+        # a period off by 1e-6 moves the wrapped partner times off the curve
+        _, _, tr = case_n3_e02
+        with pytest.raises(IntegrationError, match="miss by"):
+            detect_self_intersections(tr, period=tr.closure.period * (1.0 + 1e-6))
+        detect_self_intersections(tr)  # restore the genuine crossings
+
+    def test_rejects_period_off_the_latitude_lattice(self, case_n3_e02):
+        _, _, tr = case_n3_e02
+        with pytest.raises(ValueError, match="latitude period"):
+            detect_self_intersections(tr, period=1.5 * tr.closure.period)
 
 
 class TestLength:
