@@ -402,12 +402,8 @@ def trace_length(trace, t_range=None, n_check=2048):
 
 def _canonical_time(t, t_start, T):
     """Representative of t modulo T in [t_start, t_start + T)."""
-    r = math.fmod(t - t_start, T)
-    if r < 0.0:
-        r += T
-    if r >= T:  # a tiny negative remainder rounds up to T
-        r = 0.0
-    return t_start + r
+    r = (t - t_start) % T
+    return t_start + (0.0 if r >= T else r)  # a tiny negative t - t_start rounds to T
 
 
 def _passage_times(trace, t_lo, t_hi, targets, sign):

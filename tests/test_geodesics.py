@@ -73,7 +73,7 @@ class TestShoot:
 
     @pytest.mark.parametrize("N", [3, 9])
     def test_dop853_closure_defects(self, N):
-        sol, _, tr = solved_case(N, 0.2)
+        sol, _, _ = solved_case(N, 0.2)
         assert sol.closure_position_defect < 1e-10
         assert sol.closure_tangent_defect < 1e-10
 
@@ -136,7 +136,7 @@ class TestCrossings:
     def test_count_stable_under_refinement(self, case_n3_e02):
         # the polyline oracle agrees with the mirror route at both sample counts
         _, _, tr = case_n3_e02
-        found = [(cr.t, cr.s) for cr in detect_self_intersections(tr)]
+        found = _crossing_pairs(tr)
         assert len(found) == 3
         for n in (2048, 8192):
             assert same_pairs(found, polyline_crossings(tr, n), tr.closure.period)
