@@ -142,14 +142,11 @@ def _run_spheroid(params, tol, outdir, rng, timestamp):
     ts = np.linspace(0.0, sol.length, 2048)
     ys = trace.eval(ts)
     pts = surf.point(ys[0], ys[1])
+    cols = [ts.tolist(), *ys.tolist(), *pts.T.tolist()]
     write_csv(
         outdir / "trace.csv",
         ["t", "u1", "u2", "du1", "du2", "x", "y", "z"],
-        [
-            (float(t), float(ys[0][i]), float(ys[1][i]), float(ys[2][i]),
-             float(ys[3][i]), float(pts[i][0]), float(pts[i][1]), float(pts[i][2]))
-            for i, t in enumerate(ts)
-        ],
+        zip(*cols),
     )
     payload = {"solution": sol.to_dict(), "invariant_problems": problems,
                "Ic": eval_Ic(sol.b, sol.c)}

@@ -11,7 +11,12 @@ the metric diag(h^2, gamma^2):
 
 (coefficients from ``ProfileCurve.christoffel``) projected orthogonally to
 the tangent.  Time stepping is explicit with the parabolic restriction
-dt = safety * (min spacing)^2.  Rotationally symmetric initial data stay exact
+dt = safety * (min spacing)^2.  ``evolve`` and ``avoidance_harness`` share
+one step kernel: ``curvature_velocity`` evaluates the profile at the samples,
+``_euler_step`` moves them, checks the chart band and the length monotonicity,
+and evaluates the profile at the new segment midpoints.  Those segment
+lengths are carried into the next step's velocity and dt rule, so each step
+makes two profile evaluations.  Rotationally symmetric initial data stay exact
 parallels, for which the flow reduces to the scalar latitude equation
 du2/dt = -h'/(h gamma^2); that reduction doubles as a test oracle.
 
@@ -83,19 +88,21 @@ class FlowCurve:
     def closed_offsets(self):
         """(prev, next) sample arrays with the winding shift applied."""
         shift = np.array([2.0 * math.pi * self.winding, 0.0])
-        nxt = np.roll(self.samples, -1, axis=0)
-        nxt[-1] += shift
-        prv = np.roll(self.samples, 1, axis=0)
-        prv[0] -= shift
-        return prv, nxt
+        p = self.samples
+        return (np.concatenate([p[-1:] - shift, p[:-1]]),
+                np.concatenate([p[1:], p[:1] + shift]))
 
-    def metric_lengths(self, surface):
-        """Metric length of each sample-to-next segment (midpoint metric)."""
-        _, nxt = self.closed_offsets()
+    def metric_lengths(self, surface, nxt=None):
+        """Metric length of each sample-to-next segment (midpoint metric).
+
+        ``nxt`` is the next-sample array of ``closed_offsets`` when the
+        caller already has it.
+        """
+        if nxt is None:
+            _, nxt = self.closed_offsets()
         d = nxt - self.samples
         mid = 0.5 * (self.samples[:, 1] + nxt[:, 1])
-        h = np.asarray(surface.profile.h(mid))
-        gam = np.asarray(surface.profile.speed(mid))
+        h, gam = surface.profile.metric_factors(mid)
         return np.sqrt((h * d[:, 0]) ** 2 + (gam * d[:, 1]) ** 2)
 
     def length(self, surface):
@@ -118,7 +125,6 @@ class FlowPolicy:
     shrink_floor_frac: float = 1e-3
     snapshot_dt: float | None = None
     max_steps: int = 2_000_000
-    record_kappa: bool = True
 
 
 @dataclass
@@ -160,13 +166,18 @@ def curve_from_trace(trace, m=512):
     return FlowCurve(np.stack([ys[0], ys[1]], axis=1), winding, 0.0)
 
 
-def curvature_velocity(surface, curve):
-    """(velocity (M,2), |kappa_g| (M,)) by covariant central differences."""
+def curvature_velocity(surface, curve, seg=None):
+    """(velocity (M,2), |kappa_g| (M,)) by covariant central differences.
+
+    ``seg`` is ``curve.metric_lengths(surface)`` when the caller already has
+    it (the flow loops carry it from step to step).
+    """
     prv, nxt = curve.closed_offsets()
     p = curve.samples
-    seg = curve.metric_lengths(surface)
+    if seg is None:
+        seg = curve.metric_lengths(surface, nxt)
     h_next = seg
-    h_prev = np.roll(seg, 1)
+    h_prev = np.concatenate([seg[-1:], seg[:-1]])
 
     # nonuniform 3-point first and second derivatives in arclength
     denom = h_prev * h_next * (h_prev + h_next)
@@ -193,13 +204,13 @@ def curvature_velocity(surface, curve):
     return np.stack([n1, n2], axis=1), kappa
 
 
-def _resample_uniform(curve, surface):
+def _resample_uniform(curve, surface, seg):
     """Respace samples uniformly in arclength on a periodic cubic spline.
 
-    The winding trend is removed from u1 so that both chart coordinates are
-    periodic functions of the arclength parameter.
+    ``seg`` is ``curve.metric_lengths(surface)``.  The winding trend is
+    removed from u1 so that both chart coordinates are periodic functions of
+    the arclength parameter.
     """
-    seg = curve.metric_lengths(surface)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     total = s[-1]
     m = curve.m
@@ -216,19 +227,49 @@ def _resample_uniform(curve, surface):
     return FlowCurve(new, curve.winding, curve.time)
 
 
+def _euler_step(surface, curve, vel, dt, length):
+    """Advance ``curve`` in place by one forward-Euler step dt * vel.
+
+    This is the update half of the flow step; the other half is the
+    ``curvature_velocity`` call that produced ``vel``.  Raises ChartError
+    when a sample comes within 1e-9 of either end of the chart band, and
+    FlowError when the length exceeds ``length`` by more than 1e-12.
+    Returns the new segment lengths and their sum, which the next step's
+    ``curvature_velocity`` and dt rule reuse.
+    """
+    lo, hi = surface.u2_range
+    curve.samples = curve.samples + dt * vel
+    curve.time += dt
+    u2 = curve.samples[:, 1]
+    if np.any(u2 <= lo + 1e-9) or np.any(u2 >= hi - 1e-9):
+        raise ChartError(
+            "curve reached the chart boundary (pole side)", snapshot=curve
+        )
+    seg = curve.metric_lengths(surface)
+    new_len = float(np.sum(seg))
+    if new_len > length + 1e-12:
+        raise FlowError(
+            f"length increased by {new_len - length:.3e} in one step",
+            snapshot=curve,
+        )
+    return seg, new_len
+
+
 def evolve(surface, init, t_end, policy=None):
     """Run the flow to t_end; stops early on convergence or shrink-out.
 
     Returns a FlowResult whose snapshots include the final state.  Every
     accepted step must not increase the length (the monotonicity of the flow
-    is a correctness check on the discretization, enforced to 1e-12).
+    is a correctness check on the discretization, enforced to 1e-12).  The
+    segment lengths are evaluated once per curve state and carried from step
+    to step, so a step makes two profile evaluations: the Christoffel
+    symbols at the samples and the metric at the segment midpoints.
     """
     if policy is None:
         policy = FlowPolicy()
-    lo, hi = surface.u2_range
-    pad = 1e-9
     curve = init.copy()
-    L0 = curve.length(surface)
+    seg = curve.metric_lengths(surface)
+    L0 = float(np.sum(seg))
     snapshot_dt = policy.snapshot_dt or (t_end / 10.0)
     snapshots = [curve.copy()]
     times = [curve.time]
@@ -241,13 +282,12 @@ def evolve(surface, init, t_end, policy=None):
     for step in range(policy.max_steps):
         if curve.time >= t_end - 1e-14:
             break
-        vel, kappa = curvature_velocity(surface, curve)
+        vel, kappa = curvature_velocity(surface, curve, seg)
         max_k = float(np.max(kappa))
         kappas.append(max_k)
         if max_k < policy.convergence_tol:
             converged = True
             break
-        seg = curve.metric_lengths(surface)
         min_sp = float(np.min(seg))
         if min_sp <= 0.0:
             raise FlowError("sample spacing collapsed", snapshot=curve)
@@ -255,29 +295,15 @@ def evolve(surface, init, t_end, policy=None):
         if dt < 1e-16:
             raise FlowError("step size underflow", snapshot=curve)
         dt = min(dt, t_end - curve.time)
-        curve.samples = curve.samples + dt * vel
-        curve.time += dt
-        if np.any(curve.samples[:, 1] <= lo + pad) or np.any(
-            curve.samples[:, 1] >= hi - pad
-        ):
-            raise ChartError(
-                "curve reached the chart boundary (pole side)", snapshot=curve
-            )
-        new_len = curve.length(surface)
-        if new_len > length + 1e-12:
-            raise FlowError(
-                f"length increased by {new_len - length:.3e} in one step",
-                snapshot=curve,
-            )
-        length = new_len
-        if new_len < policy.shrink_floor_frac * L0:
+        seg, length = _euler_step(surface, curve, vel, dt, length)
+        if length < policy.shrink_floor_frac * L0:
             shrinking = True
             break
         if (step + 1) % policy.resample_check_every == 0:
-            seg = curve.metric_lengths(surface)
             if float(np.max(seg)) > policy.resample_ratio * float(np.min(seg)):
-                curve = _resample_uniform(curve, surface)
-                length = curve.length(surface)
+                curve = _resample_uniform(curve, surface, seg)
+                seg = curve.metric_lengths(surface)
+                length = float(np.sum(seg))
         if curve.time >= next_snap - 1e-12:
             snap = curve.copy()
             snap.kappa_g = kappa
@@ -285,7 +311,7 @@ def evolve(surface, init, t_end, policy=None):
             next_snap += snapshot_dt
         times.append(curve.time)
         lengths.append(length)
-    curve.kappa_g = curvature_velocity(surface, curve)[1]
+    curve.kappa_g = curvature_velocity(surface, curve, seg)[1]
     snapshots.append(curve.copy())
     return FlowResult(
         snapshots=snapshots,
@@ -298,54 +324,51 @@ def evolve(surface, init, t_end, policy=None):
     )
 
 
+def _min_sq_distance(pa, pb):
+    return float(np.min(np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)))
+
+
 def avoidance_harness(surface, c1, c2, t_end, policy=None, c2_stationary=False):
     """Evolve two disjoint curves on a shared clock, recording min separation.
 
-    ``c2_stationary`` freezes the second curve (valid when it is a geodesic,
-    whose constant evolution satisfies the flow).  Raises AvoidanceViolation
-    the moment the squared ambient separation reaches zero.
+    Both curves take the flow step of ``evolve`` (its chart and 1e-12 length
+    monotonicity checks included) with the smaller of their two dt; there is
+    no resampling.  The clock starts at 0.  ``c2_stationary`` freezes the
+    second curve (valid when it is a geodesic, whose constant evolution
+    satisfies the flow).  Raises AvoidanceViolation the moment the squared
+    ambient separation reaches zero.
     """
     if policy is None:
         policy = FlowPolicy()
     a = c1.copy()
     b = c2.copy()
+    a.time = b.time = 0.0
     pa = a.ambient_points(surface)
     pb = b.ambient_points(surface)
-    d0 = float(np.min(np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)))
+    d0 = _min_sq_distance(pa, pb)
     if d0 <= 0.0:
         raise ValueError("initial curves are not disjoint")
-    lo, hi = surface.u2_range
+    moving = [a] if c2_stationary else [a, b]
+    segs = [c.metric_lengths(surface) for c in moving]
+    lens = [float(np.sum(seg)) for seg in segs]
     times = [0.0]
     dmins = [d0]
-    t = 0.0
-    while t < t_end - 1e-14:
-        vel_a, _ = curvature_velocity(surface, a)
-        dt_a = policy.dt_safety * float(np.min(a.metric_lengths(surface))) ** 2
-        if c2_stationary:
-            dt = dt_a
-        else:
-            vel_b, _ = curvature_velocity(surface, b)
-            dt_b = policy.dt_safety * float(np.min(b.metric_lengths(surface))) ** 2
-            dt = min(dt_a, dt_b)
-        dt = min(dt, t_end - t)
-        a.samples = a.samples + dt * vel_a
-        if not c2_stationary:
-            b.samples = b.samples + dt * vel_b
-        t += dt
-        a.time = b.time = t
-        for c in (a,) if c2_stationary else (a, b):
-            if np.any(c.samples[:, 1] <= lo + 1e-9) or np.any(
-                c.samples[:, 1] >= hi - 1e-9
-            ):
-                raise ChartError("curve reached the chart boundary", snapshot=c)
+    while a.time < t_end - 1e-14:
+        vels = [curvature_velocity(surface, c, seg)[0]
+                for c, seg in zip(moving, segs)]
+        dt = min(policy.dt_safety * float(np.min(seg)) ** 2 for seg in segs)
+        dt = min(dt, t_end - a.time)
+        for k, c in enumerate(moving):
+            segs[k], lens[k] = _euler_step(surface, c, vels[k], dt, lens[k])
         pa = a.ambient_points(surface)
-        pb = b.ambient_points(surface)
-        d = float(np.min(np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)))
-        times.append(t)
+        if not c2_stationary:
+            pb = b.ambient_points(surface)
+        d = _min_sq_distance(pa, pb)
+        times.append(a.time)
         dmins.append(d)
         if d <= 0.0:
             raise AvoidanceViolation(
-                f"curves touched at t={t:.6f} (d_min={d:.3e})"
+                f"curves touched at t={a.time:.6f} (d_min={d:.3e})"
             )
     return AvoidanceRecord(np.asarray(times), np.asarray(dmins))
 

@@ -129,6 +129,17 @@ class ProfileCurve:
             seg = self.segments[self._segment_index(t)]
             return [float(getattr(seg, name)(t)) for name in names]
         t = np.asarray(t, dtype=float)
+        if len(self.segments) == 1:
+            # every point clips to segment 0: evaluate it on the whole array
+            # (contiguous, like the masked path's t[m] copy)
+            seg = self.segments[0]
+            t = np.ascontiguousarray(t)
+            outs = []
+            for name in names:
+                out = np.empty_like(t)
+                out[...] = getattr(seg, name)(t)
+                outs.append(out)
+            return outs
         outs = [np.empty_like(t) for _ in names]
         idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0,
                       len(self.segments) - 1)
@@ -154,6 +165,12 @@ class ProfileCurve:
         gam = np.hypot(dh, dg)
         dgam = (dh * d2h + dg * d2g) / gam
         return h, dh / h, h * dh / (gam * gam), dgam / gam, gam
+
+    def metric_factors(self, t):
+        """(h, gamma) at t, the square roots of the metric diag(h^2, gamma^2),
+        from one segment lookup."""
+        h, dh, dg = self._eval(("h", "dh", "dg"), t)
+        return h, np.hypot(dh, dg)
 
     def h(self, t):
         return self._eval(("h",), t)[0]

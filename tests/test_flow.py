@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from georev import flow
 from georev.flow import (
     AvoidanceViolation,
     ChartError,
+    FlowCurve,
+    FlowError,
     FlowPolicy,
     avoidance_harness,
     curvature_velocity,
@@ -146,3 +149,204 @@ class TestAvoidance:
         # sanity: the exception type exists and is raised on contrived contact
         rec_type = AvoidanceViolation("synthetic")
         assert "synthetic" in str(rec_type)
+
+
+class TestLengthMonotonicityGuard:
+    """Both loops refuse a step that lengthens the curve."""
+
+    @pytest.fixture
+    def backward_flow(self, monkeypatch):
+        forward = flow.curvature_velocity
+
+        def backward(*args, **kwargs):
+            vel, kappa = forward(*args, **kwargs)
+            return -vel, kappa
+
+        monkeypatch.setattr(flow, "curvature_velocity", backward)
+
+    def test_evolve(self, dumbbell, backward_flow):
+        with pytest.raises(FlowError, match="length increased"):
+            evolve(dumbbell, parallel_curve(dumbbell, 0.25, m=64), 1.0)
+
+    @pytest.mark.parametrize("c2_u2, stationary", [(0.0, True), (-0.25, False)])
+    def test_avoidance_harness(self, dumbbell, backward_flow, c2_u2, stationary):
+        with pytest.raises(FlowError, match="length increased"):
+            avoidance_harness(dumbbell, parallel_curve(dumbbell, 0.25, m=64),
+                              parallel_curve(dumbbell, c2_u2, m=64), 1.0,
+                              c2_stationary=stationary)
+
+
+# -- reference loops: the flow as it was before the step kernel carried the
+# segment lengths between steps.  Every length is recomputed where it is
+# used, from np.roll offsets and separate h and speed evaluations.
+
+
+def _ref_closed_offsets(self):
+    shift = np.array([2.0 * math.pi * self.winding, 0.0])
+    nxt = np.roll(self.samples, -1, axis=0)
+    nxt[-1] += shift
+    prv = np.roll(self.samples, 1, axis=0)
+    prv[0] -= shift
+    return prv, nxt
+
+
+def _ref_metric_lengths(self, surface, nxt=None):
+    _, nxt = self.closed_offsets()
+    d = nxt - self.samples
+    mid = 0.5 * (self.samples[:, 1] + nxt[:, 1])
+    h = np.asarray(surface.profile.h(mid))
+    gam = np.asarray(surface.profile.speed(mid))
+    return np.sqrt((h * d[:, 0]) ** 2 + (gam * d[:, 1]) ** 2)
+
+
+def _ref_evolve(surface, init, t_end, policy):
+    """``evolve``'s loop with every length recomputed; also counts resamples."""
+    lo, hi = surface.u2_range
+    pad = 1e-9
+    curve = init.copy()
+    L0 = curve.length(surface)
+    snapshot_dt = policy.snapshot_dt or (t_end / 10.0)
+    snapshots = [curve.copy()]
+    times = [curve.time]
+    lengths = [L0]
+    kappas = []
+    converged = shrinking = False
+    resamples = 0
+    next_snap = curve.time + snapshot_dt
+    length = L0
+    for step in range(policy.max_steps):
+        if curve.time >= t_end - 1e-14:
+            break
+        vel, kappa = flow.curvature_velocity(surface, curve)
+        max_k = float(np.max(kappa))
+        kappas.append(max_k)
+        if max_k < policy.convergence_tol:
+            converged = True
+            break
+        seg = curve.metric_lengths(surface)
+        min_sp = float(np.min(seg))
+        dt = policy.dt_safety * min_sp * min_sp
+        dt = min(dt, t_end - curve.time)
+        curve.samples = curve.samples + dt * vel
+        curve.time += dt
+        assert not (np.any(curve.samples[:, 1] <= lo + pad)
+                    or np.any(curve.samples[:, 1] >= hi - pad))
+        new_len = curve.length(surface)
+        assert new_len <= length + 1e-12
+        length = new_len
+        if new_len < policy.shrink_floor_frac * L0:
+            shrinking = True
+            break
+        if (step + 1) % policy.resample_check_every == 0:
+            seg = curve.metric_lengths(surface)
+            if float(np.max(seg)) > policy.resample_ratio * float(np.min(seg)):
+                curve = flow._resample_uniform(curve, surface,
+                                               curve.metric_lengths(surface))
+                resamples += 1
+                length = curve.length(surface)
+        if curve.time >= next_snap - 1e-12:
+            snap = curve.copy()
+            snap.kappa_g = kappa
+            snapshots.append(snap)
+            next_snap += snapshot_dt
+        times.append(curve.time)
+        lengths.append(length)
+    curve.kappa_g = flow.curvature_velocity(surface, curve)[1]
+    snapshots.append(curve.copy())
+    res = flow.FlowResult(snapshots, curve, converged, shrinking,
+                          np.asarray(times), np.asarray(lengths),
+                          np.asarray(kappas) if kappas else np.empty(0))
+    return res, resamples
+
+
+def _ref_harness(surface, c1, c2, t_end, policy, c2_stationary):
+    a = c1.copy()
+    b = c2.copy()
+
+    def d_min():
+        pa = a.ambient_points(surface)
+        pb = b.ambient_points(surface)
+        return float(np.min(np.sum((pa[:, None, :] - pb[None, :, :]) ** 2,
+                                   axis=2)))
+
+    times = [0.0]
+    dmins = [d_min()]
+    t = 0.0
+    while t < t_end - 1e-14:
+        vel_a, _ = flow.curvature_velocity(surface, a)
+        dt = policy.dt_safety * float(np.min(a.metric_lengths(surface))) ** 2
+        if not c2_stationary:
+            vel_b, _ = flow.curvature_velocity(surface, b)
+            dt_b = policy.dt_safety * float(np.min(b.metric_lengths(surface))) ** 2
+            dt = min(dt, dt_b)
+        dt = min(dt, t_end - t)
+        a.samples = a.samples + dt * vel_a
+        if not c2_stationary:
+            b.samples = b.samples + dt * vel_b
+        t += dt
+        times.append(t)
+        dmins.append(d_min())
+    return flow.AvoidanceRecord(np.asarray(times), np.asarray(dmins))
+
+
+def _wavy_offset(surface, m=96):
+    """A non-parallel curve near u2 = 0.25 with uneven sample spacing."""
+    s = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    return FlowCurve(np.stack([s + 0.3 * np.sin(s), 0.25 + 0.05 * np.cos(2 * s)],
+                              axis=1))
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestReferenceLoop:
+    """The step kernel takes the reference loops' steps, float for float."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        def use():
+            monkeypatch.setattr(FlowCurve, "closed_offsets", _ref_closed_offsets)
+            monkeypatch.setattr(FlowCurve, "metric_lengths", _ref_metric_lengths)
+        return use
+
+    @pytest.mark.parametrize("case", ["neck", "wavy-offset", "sphere-latitude"])
+    def test_evolve(self, case, dumbbell, sphere, reference):
+        if case == "neck":
+            args = (dumbbell, parallel_curve(dumbbell, 0.0, m=64), 0.3,
+                    FlowPolicy(convergence_tol=0.0))
+        elif case == "wavy-offset":
+            args = (dumbbell, _wavy_offset(dumbbell), 0.2, FlowPolicy())
+        else:
+            args = (sphere, parallel_curve(sphere, 0.3, m=96), 10.0,
+                    FlowPolicy(shrink_floor_frac=0.5))
+        got = evolve(*args)
+        reference()
+        want, resamples = _ref_evolve(*args)
+        if case == "wavy-offset":
+            assert resamples >= 1
+        if case == "sphere-latitude":
+            assert got.shrinking
+        assert (got.converged, got.shrinking) == (want.converged, want.shrinking)
+        for name in ("times", "lengths", "max_kappa"):
+            assert _same(getattr(got, name), getattr(want, name)), name
+        assert len(got.snapshots) == len(want.snapshots)
+        for g, w in zip(got.snapshots + [got.final], want.snapshots + [want.final]):
+            assert g.time == w.time
+            assert _same(g.samples, w.samples)
+            assert (g.kappa_g is None) == (w.kappa_g is None)
+            if g.kappa_g is not None:
+                assert _same(g.kappa_g, w.kappa_g)
+
+    @pytest.mark.parametrize("c2_u2, stationary", [(0.0, True), (-0.25, False)])
+    def test_avoidance_harness(self, c2_u2, stationary, dumbbell, reference):
+        args = (dumbbell, parallel_curve(dumbbell, 0.25, m=64),
+                parallel_curve(dumbbell, c2_u2, m=64), 0.3, FlowPolicy(),
+                stationary)
+        got = avoidance_harness(*args)
+        reference()
+        want = _ref_harness(*args)
+        assert len(got.times) > 100
+        assert _same(got.times, want.times)
+        assert _same(got.d_min, want.d_min)

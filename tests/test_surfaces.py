@@ -11,8 +11,10 @@ from georev.surfaces import (
     catenoid_profile,
     cylinder_profile,
     dumbbell_profile,
+    paraboloid_profile,
     profile_from_config,
     sphere_profile,
+    spheroid_profile,
     spheroid_surface,
     unit_sphere,
 )
@@ -288,6 +290,10 @@ class TestJet:
         np.testing.assert_array_equal(dh_h, prof.dh(ts) / h)
         np.testing.assert_array_equal(hdh_gg, h * prof.dh(ts) / (gam * gam))
         np.testing.assert_array_equal(dgam_gam, prof.dspeed(ts) / gam)
+        for t in (ts, float(ts[7])):
+            mh, mgam = prof.metric_factors(t)
+            np.testing.assert_array_equal(mh, prof.h(t))
+            np.testing.assert_array_equal(mgam, prof.speed(t))
 
     @pytest.mark.parametrize("name", ["unit-sphere", "glued-cylinder"])
     def test_curvatures_at_equals_grids(self, name):
@@ -305,3 +311,47 @@ class TestJet:
             assert cd.K == K[i]
             assert H * H == H2[i]
             assert cd.abs_H == abs(H)
+
+
+def _masked_eval(prof, names, t):
+    """The segment-masked array loop of ``ProfileCurve._eval``, kept as the
+    reference for its single-segment fast path."""
+    t = np.asarray(t, dtype=float)
+    outs = [np.empty_like(t) for _ in names]
+    idx = np.clip(np.searchsorted(prof.breaks, t, side="right") - 1, 0,
+                  len(prof.segments) - 1)
+    for i, seg in enumerate(prof.segments):
+        m = idx == i
+        if np.any(m):
+            tm = t[m]
+            for out, name in zip(outs, names):
+                out[m] = getattr(seg, name)(tm)
+    return outs
+
+
+class TestSingleSegmentFastPath:
+    PROFILES = {
+        "sphere": lambda: sphere_profile(),
+        "dumbbell": lambda: dumbbell_profile(),
+        "spheroid": lambda: spheroid_profile(0.6),
+        "cylinder": lambda: cylinder_profile(0.5, 0.0, 2.0),
+        "paraboloid": lambda: paraboloid_profile(1.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_equals_masked_loop(self, name):
+        prof = ProfileCurve([self.PROFILES[name]()])
+        lo, hi = prof.t_min, prof.t_max
+        inside = np.linspace(lo, hi, 97)
+        outside = np.array([lo - 0.5, lo - 1e-9, hi + 1e-9, hi + 0.5])
+        grid = np.linspace(lo, hi, 35).reshape(5, 7)
+        names = ("h", "g", "dh", "dg", "d2h", "d2g")
+        cases = [inside, outside, grid, grid.T, np.empty(0), np.empty((0, 3)),
+                 inside.reshape(-1, 1)[::2, 0], [0.5 * (lo + hi)]]
+        for t in cases:
+            got = prof._eval(names, t)
+            want = _masked_eval(prof, names, t)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64
+                assert g.shape == np.shape(t)
+                assert g.tobytes() == w.tobytes()
