@@ -331,8 +331,8 @@ def _masked_eval(prof, names, t):
 
 class TestSingleSegmentFastPath:
     PROFILES = {
-        "sphere": lambda: sphere_profile(),
-        "dumbbell": lambda: dumbbell_profile(),
+        "sphere": sphere_profile,
+        "dumbbell": dumbbell_profile,
         "spheroid": lambda: spheroid_profile(0.6),
         "cylinder": lambda: cylinder_profile(0.5, 0.0, 2.0),
         "paraboloid": lambda: paraboloid_profile(1.5),
