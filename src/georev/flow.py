@@ -325,7 +325,10 @@ def evolve(surface, init, t_end, policy=None):
 
 
 def _min_sq_distance(pa, pb):
-    return float(np.min(np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)))
+    # component by component, with no m x m x 3 array; the sum runs in the
+    # order of a length-3 axis sum, so every value is unchanged
+    dx, dy, dz = (pa[:, None, i] - pb[None, :, i] for i in range(3))
+    return float(np.min(dx * dx + dy * dy + dz * dz))
 
 
 def avoidance_harness(surface, c1, c2, t_end, policy=None, c2_stationary=False):

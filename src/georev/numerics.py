@@ -92,19 +92,14 @@ class QuadratureSpec:
 
 def _integrand_arity(f):
     try:
-        params = [
-            p
-            for p in inspect.signature(f).parameters.values()
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        if any(
-            p.kind == p.VAR_POSITIONAL
-            for p in inspect.signature(f).parameters.values()
-        ):
-            return 3
-        return min(len(params), 3)
+        kinds = [p.kind for p in inspect.signature(f).parameters.values()]
     except (TypeError, ValueError):
         return 1
+    if inspect.Parameter.VAR_POSITIONAL in kinds:
+        return 3
+    positional = (inspect.Parameter.POSITIONAL_ONLY,
+                  inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    return min(sum(k in positional for k in kinds), 3)
 
 
 def _check_nan(fv, x):
@@ -161,8 +156,12 @@ def _gauss_legendre(f, a, b, spec, arity):
 _TS_TMAX = 6.1
 
 
+@lru_cache(maxsize=32)
 def _ts_level_nodes(level):
-    """Odd-multiple node parameters for a halving level (level 0: all integers)."""
+    """Odd-multiple node parameters for a halving level (level 0: all integers).
+
+    Cached per level and shared by every call, so the array is read-only.
+    """
     h = 0.5 ** level
     if level == 0:
         k = np.arange(0.0, _TS_TMAX / h + 1.0)
@@ -172,6 +171,7 @@ def _ts_level_nodes(level):
         k = np.arange(1.0, _TS_TMAX / h + 1.0, 2.0)
         t = k * h
         t = np.concatenate([-t[::-1], t])
+    t.flags.writeable = False
     return t
 
 

@@ -37,8 +37,8 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        # csv formats a float with str, which is its shortest round-trip repr
+        w.writerows(rows)
 
 
 def project_points(pts, elev_deg=22.0, azim_deg=-60.0):
@@ -57,7 +57,8 @@ def _fmt(v):
 
 
 def _polyline(screen, stroke, width, opacity=1.0):
-    pts = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in screen)
+    xy = screen.ravel().tolist()
+    pts = " ".join(["%.4f,%.4f"] * (len(xy) // 2)) % tuple(xy)
     return (
         f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}" '
         f'stroke-opacity="{opacity}" points="{pts}" />'

@@ -21,6 +21,16 @@ sorted and distinct, so the nearest-segment argmin breaks ties towards the
 first (lowest) segment index.  Per-cell, per-region sums are added in
 subpoint order, then into the region totals in blocked-cell order.
 
+The chunks run on up to 4 threads, no more than the CPUs the process may
+use; numpy releases the GIL in the large array calls that dominate them.
+The threads share the memory budget of one chunk in flight and take half of
+it, ``_CHUNK // (2 * workers)`` elements each, because every thread's
+allocator arena keeps its own freed temporaries.  Every chunk writes only
+its own cells' rows of the per-cell sums, and the main thread adds those
+rows into the totals in blocked-cell order afterwards, so every float is
+the same whatever the scheduling and the number of threads.  The threads
+run numpy only, never a georev function or profile method.
+
 For a region D with exterior angles alpha at its corners the audit
 quantifies the defect identity: integral of K over D equals 2 pi minus the
 sum of the alphas.
@@ -29,6 +39,8 @@ sum of the alphas.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +65,16 @@ DEFAULT_GRID = (2048, 1024)
 ANGLE_TOL = 1e-6
 _CHUNK = 1 << 18  # elements per chunk of array work; bounds the temporaries
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = min(4, _cpu_count())  # threads for the redistribution chunks
 
 
 class ResolutionError(RuntimeError):
@@ -445,54 +467,75 @@ def _redistribute(surface, blocked, seg_p0, seg_p1, seg_keys, seg_arc,
     weights = [q.reshape(ny, sub) for q in (wsub, Ksub * wsub, 0.25 * H2sub * wsub)]
     per_cell = np.zeros((3, by.shape[0], n_lab))
 
+    def fill_chunk(task):
+        # numpy only: no georev function or ProfileCurve method may run on a
+        # worker thread, where a wrapper's call stack (a tracer's) would see
+        # interleaved calls; the curvature weights are computed above
+        k, idx = task
+        n = idx.shape[0]
+        cy, cx = by[idx], bx[idx]
+        cand = seg[first[idx, None] + np.arange(k)]
+        p0 = seg_p0[cand]
+        p1 = seg_p1[cand]
+        pu1 = (cx[:, None] + offs) * du1
+        pu2 = lo + (cy[:, None] + offs) * du2
+        # lift the subpoint angle into each candidate segment's
+        # neighborhood; every candidate lies within about two cells of
+        # the cell, so the rounding is the same for all its subpoints
+        mid = 0.5 * (p0[..., 0] + p1[..., 0])
+        kshift = np.round((mid - ((cx + 0.5) * du1)[:, None]) / two_pi)
+        ex = p1[..., 0] - p0[..., 0]
+        ey = p1[..., 1] - p0[..., 1]
+        # (cell, sub-column, candidate) and (cell, sub-row, candidate)
+        fx = (pu1[:, :, None] + two_pi * kshift[:, None, :]) - p0[:, None, :, 0]
+        fy = pu2[:, :, None] - p0[:, None, :, 1]
+        ee = ex * ex + ey * ey
+        ex4, ey4 = ex[:, None, None, :], ey[:, None, None, :]
+        # (cell, sub-row, sub-column, candidate) from here on
+        tpar = fx[:, None] * ex4 + fy[:, :, None] * ey4
+        tpar /= ee[:, None, None, :]
+        np.clip(tpar, 0.0, 1.0, out=tpar)
+        dx = fx[:, None] - tpar * ex4
+        tpar *= ey4
+        dy_ = np.subtract(fy[:, :, None], tpar, out=tpar)
+        dx /= du1
+        np.square(dx, out=dx)
+        dy_ /= du2
+        np.square(dy_, out=dy_)
+        dx += dy_
+        nearest = np.argmin(dx, axis=-1)
+        ci = np.arange(n)[:, None, None]
+        cross = (ex[ci, nearest] * fy[ci, np.arange(sub)[:, None], nearest]
+                 - ey[ci, nearest] * fx[ci, np.arange(sub), nearest])
+        arcs_near = seg_arc[cand[ci, nearest]]
+        lab_sub = np.where(cross > 0.0, left[arcs_near], right[arcs_near])
+        key = (ci * n_lab + lab_sub).ravel()
+        for q, w in enumerate(weights):
+            per_cell[q, idx] = np.bincount(
+                key, weights=np.repeat(w[cy], sub, axis=1).ravel(),
+                minlength=n * n_lab,
+            ).reshape(n, n_lab)
+
+    # the chunks in flight share one memory budget; worker threads take half
+    # of it between them, because each thread's allocator arena keeps its
+    # own freed temporaries besides the main thread's
+    workers = _WORKERS
+    share = _CHUNK if workers == 1 else _CHUNK // (2 * workers)
+    tasks = []
     for k in np.unique(n_cand[n_cand > 0]):
         group = np.flatnonzero(n_cand == k)
-        step = max(1, _CHUNK // (sub * sub * k))
-        for start in range(0, group.shape[0], step):
-            idx = group[start:start + step]
-            n = idx.shape[0]
-            cy, cx = by[idx], bx[idx]
-            cand = seg[first[idx, None] + np.arange(k)]
-            p0 = seg_p0[cand]
-            p1 = seg_p1[cand]
-            pu1 = (cx[:, None] + offs) * du1
-            pu2 = lo + (cy[:, None] + offs) * du2
-            # lift the subpoint angle into each candidate segment's
-            # neighborhood; every candidate lies within about two cells of
-            # the cell, so the rounding is the same for all its subpoints
-            mid = 0.5 * (p0[..., 0] + p1[..., 0])
-            kshift = np.round((mid - ((cx + 0.5) * du1)[:, None]) / two_pi)
-            ex = p1[..., 0] - p0[..., 0]
-            ey = p1[..., 1] - p0[..., 1]
-            # (cell, sub-column, candidate) and (cell, sub-row, candidate)
-            fx = (pu1[:, :, None] + two_pi * kshift[:, None, :]) - p0[:, None, :, 0]
-            fy = pu2[:, :, None] - p0[:, None, :, 1]
-            ee = ex * ex + ey * ey
-            ex4, ey4 = ex[:, None, None, :], ey[:, None, None, :]
-            # (cell, sub-row, sub-column, candidate) from here on
-            tpar = fx[:, None] * ex4 + fy[:, :, None] * ey4
-            tpar /= ee[:, None, None, :]
-            np.clip(tpar, 0.0, 1.0, out=tpar)
-            dx = fx[:, None] - tpar * ex4
-            tpar *= ey4
-            dy_ = np.subtract(fy[:, :, None], tpar, out=tpar)
-            dx /= du1
-            np.square(dx, out=dx)
-            dy_ /= du2
-            np.square(dy_, out=dy_)
-            dx += dy_
-            nearest = np.argmin(dx, axis=-1)
-            ci = np.arange(n)[:, None, None]
-            cross = (ex[ci, nearest] * fy[ci, np.arange(sub)[:, None], nearest]
-                     - ey[ci, nearest] * fx[ci, np.arange(sub), nearest])
-            arcs_near = seg_arc[cand[ci, nearest]]
-            lab_sub = np.where(cross > 0.0, left[arcs_near], right[arcs_near])
-            key = (ci * n_lab + lab_sub).ravel()
-            for q, w in enumerate(weights):
-                per_cell[q, idx] = np.bincount(
-                    key, weights=np.repeat(w[cy], sub, axis=1).ravel(),
-                    minlength=n * n_lab,
-                ).reshape(n, n_lab)
+        step = max(1, share // (sub * sub * k))
+        tasks.extend((k, group[start:start + step])
+                     for start in range(0, group.shape[0], step))
+    if workers == 1:
+        for task in tasks:
+            fill_chunk(task)
+    else:
+        # every task writes its own rows of per_cell; map re-raises the
+        # first error, and leaving the block joins the threads
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(fill_chunk, tasks):
+                pass
 
     # add the cells into the totals one by one, in blocked-cell order
     for total, part in zip(sums, per_cell):
@@ -574,8 +617,9 @@ def mask_to_pgm(mask, path=None):
     """Portable graymap (P2) text rendering of a boolean mask for debugging."""
     ny, nx = mask.shape
     lines = ["P2", f"{nx} {ny}", "1"]
-    for row in mask[::-1]:
-        lines.append(" ".join("1" if v else "0" for v in row))
+    # one row's text from its bytes: b"0"/b"1" is 48 plus the cell's bool
+    for row in np.asarray(mask, dtype=bool)[::-1]:
+        lines.append(" ".join((row.view(np.uint8) + 48).tobytes().decode()))
     text = "\n".join(lines) + "\n"
     if path is not None:
         with open(path, "w") as fh:

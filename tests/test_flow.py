@@ -145,6 +145,17 @@ class TestAvoidance:
         with pytest.raises(ValueError):
             avoidance_harness(dumbbell, c.copy(), c.copy(), 0.5)
 
+    @pytest.mark.parametrize("m", [7, 64, 96])
+    def test_min_sq_distance_equals_axis_sum(self, m):
+        # the component sum adds in the order of the length-3 axis sum
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            pa = rng.normal(size=(m, 3))
+            pb = rng.normal(size=(m + 3, 3)) * rng.uniform(0.1, 10.0)
+            want = float(np.min(np.sum((pa[:, None, :] - pb[None, :, :]) ** 2,
+                                       axis=2)))
+            assert flow._min_sq_distance(pa, pb) == want
+
     def test_violation_machinery(self, dumbbell):
         # sanity: the exception type exists and is raised on contrived contact
         rec_type = AvoidanceViolation("synthetic")

@@ -87,6 +87,32 @@ class TestIntegrate:
         assert all(b < a for a, b in zip(tail, tail[1:]))
         assert tail[-1] < floor
 
+    def test_level_nodes_cached_read_only(self):
+        from georev.numerics import _ts_level_nodes
+
+        for level in (0, 1, 4):
+            t = _ts_level_nodes(level)
+            assert t is _ts_level_nodes(level)
+            assert not t.flags.writeable
+            assert t.tobytes() == _ts_level_nodes.__wrapped__(level).tobytes()
+
+    def test_integrand_arity(self):
+        from georev.numerics import _integrand_arity
+
+        def two(x, da):
+            return x
+
+        def star(*xs):
+            return xs[0]
+
+        def keyword_only(x, *, scale=1.0):
+            return x
+
+        cases = [(lambda x: x, 1), (two, 2), (lambda x, da, db, e: x, 3),
+                 (star, 3), (keyword_only, 1), (max, 1)]
+        for f, want in cases:
+            assert _integrand_arity(f) == want, f
+
     def test_self_test_integrands(self):
         for name, val, exact, err in quadrature_self_test(TS):
             assert err < 1e-10, name

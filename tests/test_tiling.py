@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -195,6 +197,23 @@ class TestExports:
         assert head[0] == "P2"
         assert head[1] == "512 256"
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (37, 53)])
+    def test_pgm_equals_per_cell_text(self, shape, tmp_path):
+        mask = np.random.default_rng(11).random(shape) < 0.5
+        want = _reference_pgm(mask)
+        assert mask_to_pgm(mask) == want
+        mask_to_pgm(mask, tmp_path / "m.pgm")
+        assert (tmp_path / "m.pgm").read_text() == want
+
+
+def _reference_pgm(mask):
+    """The per-cell text of mask_to_pgm, one conditional per cell."""
+    ny, nx = mask.shape
+    lines = ["P2", f"{nx} {ny}", "1"]
+    for row in mask[::-1]:
+        lines.append(" ".join("1" if v else "0" for v in row))
+    return "\n".join(lines) + "\n"
+
 
 # -- reference per-cell loop ----------------------------------------------------
 
@@ -361,3 +380,51 @@ class TestReferenceLoop:
         for c in (cuts, []):
             np.testing.assert_array_equal(tiling._segment_arcs(ts, T, c),
                                           _reference_segment_arcs(ts, T, c))
+
+
+class TestThreadedChunks:
+    """The chunks give the same sums on any number of worker threads."""
+
+    GRID = (256, 128)
+
+    def _regions(self, case, workers, monkeypatch):
+        monkeypatch.setattr(tiling, "_WORKERS", workers)
+        surf, tr = case[1], case[2]
+        return decompose_regions(surf, tr, grid=self.GRID, subsample=4)
+
+    @pytest.mark.parametrize("chunk", [tiling._CHUNK, 1000])
+    def test_sums_equal_single_worker(self, chunk, case_n3_e02, monkeypatch):
+        # 1000 elements leave a few cells per chunk, so many tiny chunks
+        # interleave; four workers on a short switch interval oversubscribe
+        # the cores
+        monkeypatch.setattr(tiling, "_CHUNK", chunk)
+        want = self._regions(case_n3_e02, 1, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [self._regions(case_n3_e02, w, monkeypatch) for w in (2, 4)]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in runs:
+            assert len(got) == len(want) == len(case_n3_e02[2].crossings) + 2
+            for g, w in zip(got, want):
+                assert (g.area, g.KdA, g.willmore, g.cell_count) == (
+                    w.area, w.KdA, w.willmore, w.cell_count)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_error_reaches_caller(self, workers, case_n3_e02, monkeypatch):
+        # an arc table without its second half fails in the chunks whose
+        # cells lie next to the later raster segments
+        arcs = tiling._segment_arcs
+        monkeypatch.setattr(tiling, "_segment_arcs",
+                            lambda ts, T, cuts: arcs(ts, T, cuts)[:ts.shape[0] // 2])
+        monkeypatch.setattr(tiling, "_CHUNK", 1000)
+        before = threading.active_count()
+        with pytest.raises(IndexError):
+            self._regions(case_n3_e02, workers, monkeypatch)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_call(self, case_n3_e02, monkeypatch):
+        before = threading.active_count()
+        self._regions(case_n3_e02, 2, monkeypatch)
+        assert threading.active_count() == before
