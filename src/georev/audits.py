@@ -206,7 +206,7 @@ def random_caps(surfaces, count, seed=0, margin=0.05):
     return caps
 
 
-def length_energy_ratio(family, tol_note=None):
+def length_energy_ratio(family):
     """Ratio table L / ((6 pi - W) sqrt(A)) across a family of (surface, L) pairs.
 
     ``family`` is an iterable of dicts with keys ``label``, ``surface`` and
@@ -231,12 +231,7 @@ def length_energy_ratio(family, tol_note=None):
             }
         )
     valid = [r["ratio"] for r in rows if not r["vacuous"]]
-    summary = {
-        "rows": rows,
-        "min_ratio": min(valid) if valid else math.nan,
-        "note": tol_note,
-    }
-    return summary
+    return {"rows": rows, "min_ratio": min(valid) if valid else math.nan}
 
 
 def injectivity_bound_report(surface, geodesic_length, samples=20001):

@@ -300,11 +300,8 @@ def _wrap_pi(x):
 
 
 def _defects(trace, T):
-    y0 = trace.eval(trace.ts[0]) if trace.sol is not None else trace.ys[:, 0]
-    yT = trace.eval(trace.ts[0] + T) if trace.sol is not None else None
-    if yT is None:
-        i = int(np.argmin(np.abs(trace.ts - (trace.ts[0] + T))))
-        yT = trace.ys[:, i]
+    y0 = trace.eval(trace.ts[0])
+    yT = trace.eval(trace.ts[0] + T)
     pos = math.hypot(float(_wrap_pi(yT[0] - y0[0])), float(yT[1] - y0[1]))
     tan = math.hypot(float(yT[2] - y0[2]), float(yT[3] - y0[3]))
     return pos, tan
@@ -313,59 +310,23 @@ def _defects(trace, T):
 def closure_check(trace, tol=DEFAULT_CLOSURE_TOL, t_candidate=None):
     """Certify C^1 closure at a candidate period.
 
-    Without an explicit candidate the trace is scanned for near-returns of
-    (u1 mod 2 pi, u2, u1', u2').  Returns a ClosureRecord (also stored on the
-    trace) or None if no candidate closes within tolerance.
+    The candidate is ``t_candidate``, or else the period a meridian trace
+    suggests (``trace.meta["suggested_period"]``); with neither it raises
+    ValueError.  Returns a ClosureRecord (also stored on the trace) or None
+    if the trace does not close at the candidate within tolerance.
     """
-    if t_candidate is None and "suggested_period" in trace.meta:
-        t_candidate = trace.meta["suggested_period"]
+    if t_candidate is None:
+        t_candidate = trace.meta.get("suggested_period")
+        if t_candidate is None:
+            raise ValueError("closure_check needs a candidate period")
     span = trace.t_end - float(trace.ts[0])
-    if t_candidate is not None:
-        if t_candidate > span + 1e-9:
-            raise NeedsMoreTimeError(
-                f"trace spans {span:.6g} < candidate period {t_candidate:.6g}"
-            )
-        pos, tan = _defects(trace, t_candidate)
-        if pos < tol and tan < tol:
-            rec = ClosureRecord(float(t_candidate), pos, tan)
-            trace.closure = rec
-            return rec
-        return None
-
-    if trace.sol is None:
-        raise NeedsMoreTimeError("closure scan needs a dense trace")
-    y0 = trace.eval(trace.ts[0])
-    n = 8192
-    ts = np.linspace(trace.ts[0], trace.t_end, n)
-    ys = trace.eval(ts)
-    d = np.hypot(_wrap_pi(ys[0] - y0[0]), ys[1] - y0[1]) + np.hypot(
-        ys[2] - y0[2], ys[3] - y0[3]
-    )
-    step = ts[1] - ts[0]
-    min_period = 16 * step
-    cand = None
-    for i in range(1, n - 1):
-        if ts[i] - ts[0] < min_period:
-            continue
-        if d[i] <= d[i - 1] and d[i] <= d[i + 1] and d[i] < 0.5:
-            cand = ts[i]
-            break
-    if cand is None:
-        return None
-    from scipy.optimize import minimize_scalar
-
-    def defect(T):
-        p, q = _defects(trace, T)
-        return p * p + q * q
-
-    r = minimize_scalar(
-        defect, bounds=(cand - trace.ts[0] - 2 * step, cand - trace.ts[0] + 2 * step),
-        method="bounded", options={"xatol": 1e-14},
-    )
-    T = float(r.x)
-    pos, tan = _defects(trace, T)
+    if t_candidate > span + 1e-9:
+        raise NeedsMoreTimeError(
+            f"trace spans {span:.6g} < candidate period {t_candidate:.6g}"
+        )
+    pos, tan = _defects(trace, t_candidate)
     if pos < tol and tan < tol:
-        rec = ClosureRecord(T, pos, tan)
+        rec = ClosureRecord(float(t_candidate), pos, tan)
         trace.closure = rec
         return rec
     return None

@@ -17,8 +17,8 @@ The tangency parameters of the sphere-catenoid join solve
 
     a cosh(tau) = cos(phi),     sinh(tau) = tan(phi),
 
-whose exact solution is cos(phi) = sqrt(a); a damped Newton iteration starts
-from that value and certifies the residual.
+whose exact solution is cos(phi) = sqrt(a), tau = acosh(1 / sqrt(a)); the
+residual of that closed form is checked before it is used.
 """
 
 from __future__ import annotations
@@ -179,46 +179,22 @@ def _shift_segment(seg, delta, label=None):
     )
 
 
-def _solve_sphere_catenoid_tangency(a, max_iter=40):
-    """Damped Newton for (phi, tau): radius and tangent-slope match at the collar."""
+def _solve_sphere_catenoid_tangency(a):
+    """Closed-form (phi, tau) matching radius and tangent slope at the collar."""
     if not 0.0 < a < 1.0:
         raise ConstructionError(
             f"neck scale a={a} admits no sphere-catenoid tangency (need 0 < a < 1)"
         )
     phi = math.acos(math.sqrt(a))
     tau = math.acosh(1.0 / math.sqrt(a))
-
-    def F(p, t):
-        return np.array([a * math.cosh(t) - math.cos(p), math.sinh(t) - math.tan(p)])
-
-    v = F(phi, tau)
-    for _ in range(max_iter):
-        if np.linalg.norm(v) < 1e-14:
-            break
-        J = np.array(
-            [
-                [math.sin(phi), a * math.sinh(tau)],
-                [-1.0 / math.cos(phi) ** 2, math.cosh(tau)],
-            ]
-        )
-        step = np.linalg.solve(J, -v)
-        lam = 1.0
-        for _ in range(20):
-            cand = F(phi + lam * step[0], tau + lam * step[1])
-            if np.linalg.norm(cand) < np.linalg.norm(v):
-                phi += lam * step[0]
-                tau += lam * step[1]
-                v = cand
-                break
-            lam *= 0.5
-        else:
-            break
-    if np.linalg.norm(v) > 1e-10:
+    v = np.array([a * math.cosh(tau) - math.cos(phi), math.sinh(tau) - math.tan(phi)])
+    res = float(np.linalg.norm(v))
+    if res > 1e-10:
         raise ConstructionError(
-            f"sphere-catenoid tangency solve stalled at residual {np.linalg.norm(v):.3e}",
+            f"sphere-catenoid tangency residual {res:.3e} exceeds 1e-10",
             residuals=tuple(v),
         )
-    return phi, tau, float(np.linalg.norm(v))
+    return phi, tau, res
 
 
 def _build_cylinder_family(cfg):
@@ -246,21 +222,7 @@ def _build_cylinder_family(cfg):
         neck_lo = phi + t_a
     elif cfg.bottom == "spherical-cap":
         # radius-a hemisphere below the cylinder
-        segs.append(
-            ProfileSegment(
-                -math.pi / 2,
-                0.0,
-                h=lambda t: a * np.cos(t),
-                g=lambda t: a * np.sin(t),
-                dh=lambda t: -a * np.sin(t),
-                dg=lambda t: a * np.cos(t),
-                d2h=lambda t: -a * np.cos(t),
-                d2g=lambda t: -a * np.sin(t),
-                label="cap",
-                config={"kind": "cap", "radius": a, "center_z": 0.0,
-                        "phi_lo": -math.pi / 2, "phi_hi": 0.0},
-            )
-        )
+        segs.append(cap_profile(a, 0.0, -math.pi / 2, 0.0))
         z1 = 0.0
         neck_lo = 0.0
     else:

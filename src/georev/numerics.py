@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "QuadratureSpec",
@@ -61,7 +62,7 @@ class BracketError(ValueError):
 
 
 class RootConvergenceError(RuntimeError):
-    """Root finding hit the iteration cap; carries the last bracket."""
+    """Root finding hit the iteration cap; carries the bracket it was given."""
 
     def __init__(self, message, bracket=None):
         super().__init__(message)
@@ -266,63 +267,30 @@ def elliptic_K_by_quadrature(k, spec=None):
 
 
 def find_root(f, lo, hi, tol=DEFAULT_ROOT_TOL, max_iter=200):
-    """Brent-style bracketed root finding.
+    """Bracketed root finding: Brent's zeroin, through ``scipy.optimize.brentq``.
 
-    Requires a sign change on [lo, hi]; returns x with bracket width at most
-    ``tol`` (plus a machine-precision term) and |f(x)| no larger than at the
-    worse bracket end.
+    Requires a sign change on [lo, hi].  Returns x once the bracket around it
+    is at most ``tol`` wide, plus a machine-precision term (brentq's
+    ``xtol + rtol |x|`` with rtol = 4 eps).  brentq does not expose its last
+    bracket, so a RootConvergenceError carries the bracket it was given and
+    names the last iterate in its message.
     """
-    a, b = float(lo), float(hi)
-    fa, fb = float(f(a)), float(f(b))
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise BracketError(
-            f"f({a})={fa:.6g} and f({b})={fb:.6g} do not bracket a root"
+    try:
+        x, res = brentq(f, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps,
+                        maxiter=max_iter, full_output=True, disp=False)
+    except ValueError:
+        fa, fb = float(f(lo)), float(f(hi))
+        if fa * fb > 0.0:
+            raise BracketError(
+                f"f({lo})={fa:.6g} and f({hi})={fb:.6g} do not bracket a root"
+            ) from None
+        raise
+    if not res.converged:
+        raise RootConvergenceError(
+            f"no convergence after {max_iter} iterations (last iterate {x!r})",
+            bracket=(lo, hi),
         )
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
-        else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = float(f(b))
-    raise RootConvergenceError(
-        f"no convergence after {max_iter} iterations", bracket=(b, c)
-    )
+    return x
 
 
 def central_difference(f, x, h):

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _IC_SPEC = QuadratureSpec(scheme="tanh-sinh", level=12, abs_tol=1e-12, rel_tol=1e-12)
+_AMPLITUDE_MARGIN = 1e-3  # relative gap between the latitude amplitude and eps
 
 
 class SolverError(RuntimeError):
@@ -141,26 +142,19 @@ class SpheroidSolution:
         return problems
 
 
-def solve_for_geodesic(
-    N,
-    eps,
-    margin=1e-3,
-    shoot_tol=1e-12,
-    closure_tol=1e-6,
-    verify=True,
-):
+def solve_for_geodesic(N, eps, shoot_tol=1e-12, closure_tol=1e-6):
     """Find (b, c) so the spheroid carries a closed geodesic with N crossings.
 
-    The latitude amplitude is set first, c = cos(eps (1 - margin)) so that
-    max |u2| = arccos(c) < eps, then b is bisected over (N+1, N+1+eps) for
-    I_c = (N+1) pi.  If the bracket carries no sign change, c is relaxed
-    toward 1 geometrically.  With ``verify`` the geodesic is shot, closure at
-    4 t0 is certified, and the crossing count is extracted.
+    The latitude amplitude is set first, c = cos(eps (1 - _AMPLITUDE_MARGIN))
+    so that max |u2| = arccos(c) < eps, then b is bisected over
+    (N+1, N+1+eps) for I_c = (N+1) pi.  If the bracket carries no sign change,
+    c is relaxed toward 1 geometrically.  The geodesic is then shot, closure
+    at 4 t0 is certified, and the crossing count is extracted.
     """
     if N < 1 or not 0.0 < eps < 1.0:
         raise ValueError("need N >= 1 and 0 < eps < 1")
     target = (N + 1) * math.pi
-    c = math.cos(eps * (1.0 - margin))
+    c = math.cos(eps * (1.0 - _AMPLITUDE_MARGIN))
     b_lo, b_hi = N + 1.0, N + 1.0 + eps
     scan = []
 
@@ -183,12 +177,6 @@ def solve_for_geodesic(
         raise SolverError(str(exc), scan=scan) from exc
 
     surface = spheroid_surface(b)
-    if not verify:
-        return SpheroidSolution(
-            N, eps, b, c, math.nan, math.nan, -1, math.nan, math.nan,
-            math.acos(c), math.nan, math.nan,
-        ), surface, None
-
     t_max = 4.0 * target / (2.0 * c) * 1.05
     trace = shoot(surface, clairaut_state(surface, c), t_max, tol=shoot_tol)
     if trace.turning_times.size == 0:

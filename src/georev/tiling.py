@@ -45,6 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .audits import AuditReport
 
@@ -64,6 +66,7 @@ __all__ = [
 DEFAULT_GRID = (2048, 1024)
 ANGLE_TOL = 1e-6
 _CHUNK = 1 << 18  # elements per chunk of array work; bounds the temporaries
+_N_RASTER = 32768  # trace samples, raised when a step spans most of a cell
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
@@ -133,48 +136,25 @@ class RegionDecomposition:
     arc_sides: list
 
 
-def _wrap_pi(x):
-    return np.mod(np.asarray(x) + math.pi, 2.0 * math.pi) - math.pi
-
-
-def _union(parent, a, b):
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        parent[rb] = ra
-
-
-def _find(parent, a):
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
-
-
 def _label_with_seam(blocked):
+    """Label the 4-connected free cells, merging regions across the u1 seam.
+
+    The two seam columns join each (left, right) pair of free labels in one
+    sparse graph over the labels, background node 0 included.
+    ``connected_components`` numbers components in order of their smallest
+    node, so the background stays 0 and regions keep the order of their first
+    ``ndimage.label`` label.  Returns the labels and the region count.
+    """
     labels, n = ndimage.label(~blocked, structure=_FOUR_CONN)
-    parent = list(range(n + 1))
-    left = labels[:, 0]
-    right = labels[:, -1]
-    for a, b in zip(left, right):
-        if a > 0 and b > 0:
-            _union(parent, int(a), int(b))
-    remap = {}
-    next_id = 0
-    roots = np.array([_find(parent, i) for i in range(n + 1)])
-    for lab in range(1, n + 1):
-        r = roots[lab]
-        if r not in remap:
-            next_id += 1
-            remap[r] = next_id
-    lut = np.zeros(n + 1, dtype=labels.dtype)
-    for lab in range(1, n + 1):
-        lut[lab] = remap[roots[lab]]
-    new_labels = lut[labels]
-    return new_labels, next_id
+    left, right = labels[:, 0], labels[:, -1]
+    pair = (left > 0) & (right > 0)
+    graph = coo_matrix((np.ones(int(pair.sum())), (left[pair], right[pair])),
+                       shape=(n + 1, n + 1))
+    m, lut = connected_components(graph, directed=False)
+    return lut.astype(labels.dtype)[labels], m - 1
 
 
-def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16,
-                      n_raster=32768):
+def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16):
     """Cut the surface along the closed trace; one Region per component.
 
     Requires a closure-certified trace with crossings already extracted.
@@ -190,22 +170,17 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16,
     du2 = (hi - lo) / ny
 
     # --- sample and rasterize the trace ------------------------------------
-    ts = np.linspace(0.0, T, n_raster, endpoint=False)
-    ys = trace.eval(ts)
-    u1s, u2s = ys[0], ys[1]
-    p_next = trace.eval(np.concatenate([ts[1:], [T]]))
-    u1e, u2e = p_next[0], p_next[1]
+    def sample(n):
+        ts = np.linspace(0.0, T, n, endpoint=False)
+        return ts, trace.eval(ts)[:2], trace.eval(np.concatenate([ts[1:], [T]]))[:2]
 
+    ts, (u1s, u2s), (u1e, u2e) = sample(_N_RASTER)
     max_step = max(
         float(np.max(np.abs(u1e - u1s))), float(np.max(np.abs(u2e - u2s)))
     )
     if max_step > 0.75 * min(du1, du2):
-        need = int(n_raster * max_step / (0.5 * min(du1, du2)))
-        ts = np.linspace(0.0, T, need, endpoint=False)
-        ys = trace.eval(ts)
-        u1s, u2s = ys[0], ys[1]
-        p_next = trace.eval(np.concatenate([ts[1:], [T]]))
-        u1e, u2e = p_next[0], p_next[1]
+        ts, (u1s, u2s), (u1e, u2e) = sample(
+            int(_N_RASTER * max_step / (0.5 * min(du1, du2))))
 
     ix = np.floor(np.mod(u1s, 2.0 * math.pi) / du1).astype(np.int64) % nx
     iy = np.clip(np.floor((u2s - lo) / du2).astype(np.int64), 0, ny - 1)

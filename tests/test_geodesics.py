@@ -90,11 +90,11 @@ class TestClosure:
         assert rec.position_defect < 1e-10
         assert rec.tangent_defect < 1e-10
 
-    def test_closure_scan_finds_equator_period(self, sphere):
+    def test_closure_needs_candidate_period(self, sphere):
         tr = shoot(sphere, parallel_state(sphere, 0.0), 7.0)
-        rec = closure_check(tr, 1e-8)
-        assert rec is not None
-        assert rec.period == pytest.approx(2.0 * math.pi, abs=1e-8)
+        with pytest.raises(ValueError, match="needs a candidate period"):
+            closure_check(tr, 1e-8)
+        assert tr.closure is None
 
     def test_solved_case_closes(self, case_n3_e02):
         sol, surf, tr = case_n3_e02

@@ -12,6 +12,7 @@ from georev.glued import (
     family_from_config,
     parse_height_rule,
     spheroid_band_cap_closed_forms,
+    _solve_sphere_catenoid_tangency,
 )
 from georev.spheroid import solve_for_geodesic
 from georev.surfaces import spheroid_profile
@@ -41,6 +42,19 @@ class TestCylinderFamily:
             surf = build_glued_family(GluedFamilyConfig(a=a))
             assert abs(math.cos(surf.joins["phi_cut"]) ** 2 - a) < 1e-12
             assert abs(surf.joins["s_a"] - (1.0 - math.sqrt(1.0 - a))) < 1e-12
+
+    def test_tangency_residual_across_a(self):
+        sweep = np.concatenate([np.geomspace(1e-5, 1.0 - 1e-9, 500),
+                                np.linspace(1e-3, 0.999, 500)])
+        for a in sweep:
+            phi, tau, res = _solve_sphere_catenoid_tangency(float(a))
+            assert res < 1e-10
+            assert abs(math.cos(phi) ** 2 - a) < 1e-12
+
+    def test_tangency_certificate_rejects_tiny_a(self):
+        # tan(phi) amplifies the rounding of phi ~ pi/2 by 1/a
+        with pytest.raises(ConstructionError, match="residual"):
+            _solve_sphere_catenoid_tangency(1e-9)
 
     def test_quadrature_matches_closed_forms(self):
         for a, rule in ((0.1, "2a"), (0.05, "2a^2")):

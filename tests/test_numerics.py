@@ -8,6 +8,7 @@ from georev.numerics import (
     IntegrandError,
     QuadratureError,
     QuadratureSpec,
+    RootConvergenceError,
     central_difference,
     elliptic_K,
     elliptic_K_by_quadrature,
@@ -180,3 +181,127 @@ class TestFindRoot:
         c = find_root(lambda c: eval_Ic(4.038, c) - 4.0 * math.pi, 0.9, 0.999,
                       tol=1e-10)
         assert abs(c - 0.980) < 5e-3
+
+    def test_convergence_error_carries_given_bracket(self):
+        with pytest.raises(RootConvergenceError) as info:
+            find_root(lambda x: x**3 - 2.0, 0.0, 5.0, max_iter=2)
+        assert info.value.bracket == (0.0, 5.0)
+        assert "last iterate" in str(info.value)
+
+
+def _reference_find_root(f, lo, hi, tol=1e-12, max_iter=200):
+    """The hand-written Brent loop ``find_root`` used before it called brentq."""
+    a, b = float(lo), float(hi)
+    fa, fb = float(f(a)), float(f(b))
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0.0:
+        raise BracketError(
+            f"f({a})={fa:.6g} and f({b})={fb:.6g} do not bracket a root"
+        )
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(max_iter):
+        if fb * fc > 0.0:
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p = 2.0 * xm * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e = d
+                d = p / q
+            else:
+                d = xm
+                e = d
+        else:
+            d = xm
+            e = d
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = float(f(b))
+    raise RootConvergenceError(
+        f"no convergence after {max_iter} iterations", bracket=(b, c)
+    )
+
+
+class TestFindRootReference:
+    """find_root on brentq against the hand-written Brent loop it replaced."""
+
+    def test_spheroid_closure_roots_equal(self):
+        # the b solve of solve_for_geodesic over the spheroid failure map and
+        # the audit band: every root, and the I_c evaluation count, are equal
+        from georev.spheroid import eval_Ic
+
+        cases = [(N, eps) for eps in (0.02, 0.2, 0.453, 0.6)
+                 for N in range(1, 13)] + [(3, 0.0045)]
+        for N, eps in cases:
+            target = (N + 1) * math.pi
+            c = math.cos(eps * (1.0 - 1e-3))
+            lo, hi = N + 1.0, N + 1.0 + eps
+            while not eval_Ic(lo, c) < target < eval_Ic(hi, c):
+                c = 0.5 * (1.0 + c)
+            seen = {"new": [], "ref": []}
+
+            def g(b, side):
+                seen[side].append(b)
+                return eval_Ic(b, c) - target
+
+            got = find_root(lambda b: g(b, "new"), lo, hi, tol=1e-13)
+            want = _reference_find_root(lambda b: g(b, "ref"), lo, hi, tol=1e-13)
+            assert got == want, (N, eps)
+            assert seen["new"] == seen["ref"], (N, eps)
+
+    def test_closure_root_in_c_equal(self):
+        from georev.spheroid import eval_Ic
+
+        def g(c):
+            return eval_Ic(4.038, c) - 4.0 * math.pi
+
+        assert find_root(g, 0.9, 0.999, tol=1e-10) == _reference_find_root(
+            g, 0.9, 0.999, tol=1e-10)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-13])
+    def test_random_functions_agree_within_tolerance(self, tol):
+        # the two loops form the interpolation step by different but equal
+        # formulas, so the iterates can part in their last bits (most often
+        # on the exponential family); both stop within tol of the root
+        rng = np.random.default_rng(7)
+        families = (
+            lambda x, r, p: math.tanh(p[0] * (x - r)) + p[1] * (x - r) ** 3,
+            lambda x, r, p: (x - r) * (p[0] + p[1] * x * x),
+            lambda x, r, p: math.exp(p[0] * (x - r)) - 1.0,
+            lambda x, r, p: math.atan(p[0] * (x - r)) + 0.1 * p[2] * math.sin(p[1] * (x - r)),
+        )
+        for i in range(400):
+            a = float(rng.uniform(-3.0, 0.0))
+            b = float(rng.uniform(0.1, 3.0))
+            r = float(rng.uniform(a + 1e-3, b - 1e-3))
+            p = rng.uniform(0.1, 3.0, size=3)
+
+            def f(x, fam=families[i % 4]):
+                return fam(x, r, p)
+
+            got = find_root(f, a, b, tol=tol)
+            want = _reference_find_root(f, a, b, tol=tol)
+            assert a <= got <= b
+            assert abs(got - want) <= tol + 4.0 * np.finfo(float).eps * abs(want)

@@ -382,6 +382,55 @@ class TestReferenceLoop:
                                           _reference_segment_arcs(ts, T, c))
 
 
+def _reference_label_with_seam(blocked):
+    """Seam merge by union-find over the seam pairs, ids in first-label order."""
+    from scipy import ndimage
+
+    labels, n = ndimage.label(~blocked, structure=tiling._FOUR_CONN)
+    parent = list(range(n + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(labels[:, 0], labels[:, -1]):
+        if a > 0 and b > 0:
+            ra, rb = find(int(a)), find(int(b))
+            if ra != rb:
+                parent[rb] = ra
+    remap = {}
+    lut = np.zeros(n + 1, dtype=labels.dtype)
+    for lab in range(1, n + 1):
+        lut[lab] = remap.setdefault(find(lab), len(remap) + 1)
+    return lut[labels], len(remap)
+
+
+class TestSeamLabels:
+    """The seam merge numbers regions as the union-find it replaced did."""
+
+    def _grids(self):
+        rng = np.random.default_rng(11)
+        for _ in range(240):
+            ny, nx = (int(v) for v in rng.integers(1, 40, size=2))
+            yield rng.random((ny, nx)) < rng.choice([0.1, 0.3, 0.45, 0.6, 0.8])
+        for shape in [(1, 1), (1, 30), (30, 1), (17, 23)]:
+            yield np.zeros(shape, dtype=bool)
+            yield np.ones(shape, dtype=bool)
+        for ny in (1, 9, 40):
+            yield rng.random((ny, 1)) < 0.5
+            yield rng.random((1, ny)) < 0.5
+
+    def test_equals_union_find(self):
+        for blocked in self._grids():
+            got, m = tiling._label_with_seam(blocked)
+            want, n = _reference_label_with_seam(blocked)
+            assert m == n
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
 class TestThreadedChunks:
     """The chunks give the same sums on any number of worker threads."""
 
