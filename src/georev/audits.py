@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 DEFAULT_AUDIT_TOL = 1e-6
+_CAP_MARGIN = 0.05  # random cap cuts keep this fraction of the domain from each end
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,9 @@ def interior_point_audit(patch, samples=512, tol=DEFAULT_AUDIT_TOL):
     prof = patch.surface.profile
     u2s = np.linspace(patch.u2_lo, patch.u2_hi, samples + 2)[1:-1]
     (v,) = patch.boundary_u2
-    r, z = float(prof.h(v)), float(prof.g(v))
-    lhs = float(np.max(np.hypot(prof.h(u2s) - r, prof.g(u2s) - z)))
+    r, z = prof.position(v)
+    h, g = prof.position(u2s)
+    lhs = float(np.max(np.hypot(h - r, g - z)))
     rhs = 0.5 * (diam - L)
     return AuditReport(
         name="interior-point-distance",
@@ -164,12 +166,10 @@ def monotonicity_audit(patch, u2_0, spec=None, tol=DEFAULT_AUDIT_TOL):
         spec = QuadratureSpec(scheme="tanh-sinh", level=12)
     surf = patch.surface
     _, W = patch.area_and_willmore()
-    h0 = float(surf.profile.h(u2_0))
-    g0 = float(surf.profile.g(u2_0))
+    h0, g0 = surf.profile.position(u2_0)
     boundary_term = 0.0
     for v in patch.boundary_u2:
-        r = float(surf.profile.h(v))
-        z = float(surf.profile.g(v))
+        r, z = surf.profile.position(v)
 
         def inv_dist(u1):
             d = np.sqrt(
@@ -190,7 +190,7 @@ def monotonicity_audit(patch, u2_0, spec=None, tol=DEFAULT_AUDIT_TOL):
     )
 
 
-def random_caps(surfaces, count, seed=0, margin=0.05):
+def random_caps(surfaces, count, seed=0):
     """Seeded random cap patches across a list of closed surfaces."""
     rng = np.random.default_rng(seed)
     caps = []
@@ -198,7 +198,7 @@ def random_caps(surfaces, count, seed=0, margin=0.05):
         surf = surfaces[i % len(surfaces)]
         lo, hi = surf.u2_range
         span = hi - lo
-        cut = lo + span * (margin + (1.0 - 2.0 * margin) * rng.random())
+        cut = lo + span * (_CAP_MARGIN + (1.0 - 2.0 * _CAP_MARGIN) * rng.random())
         if rng.random() < 0.5:
             caps.append(PatchSpec(surf, lo, cut))
         else:

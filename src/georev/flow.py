@@ -11,7 +11,7 @@ the metric diag(h^2, gamma^2):
 
 (coefficients from ``ProfileCurve.christoffel``) projected orthogonally to
 the tangent.  Time stepping is explicit with the parabolic restriction
-dt = safety * (min spacing)^2.  ``evolve`` and ``avoidance_harness`` share
+dt = DT_SAFETY * (min spacing)^2.  ``evolve`` and ``avoidance_harness`` share
 one step kernel: ``curvature_velocity`` evaluates the profile at the samples,
 ``_euler_step`` moves them, checks the chart band and the length monotonicity,
 and evaluates the profile at the new segment midpoints.  Those segment
@@ -47,6 +47,13 @@ __all__ = [
     "avoidance_harness",
     "latitude_ode_rhs",
 ]
+
+
+DT_SAFETY = 0.4  # dt = DT_SAFETY * (min spacing)^2
+RESAMPLE_CHECK_EVERY = 10  # steps between spacing checks in ``evolve``
+RESAMPLE_RATIO = 1.5  # respace when max/min segment length exceeds this
+MAX_STEPS = 2_000_000
+SNAPSHOTS = 10  # ``evolve`` records a snapshot every t_end / SNAPSHOTS
 
 
 class FlowError(RuntimeError):
@@ -118,13 +125,8 @@ class FlowCurve:
 
 @dataclass(frozen=True)
 class FlowPolicy:
-    dt_safety: float = 0.4
-    resample_check_every: int = 10
-    resample_ratio: float = 1.5
     convergence_tol: float = 1e-3
     shrink_floor_frac: float = 1e-3
-    snapshot_dt: float | None = None
-    max_steps: int = 2_000_000
 
 
 @dataclass
@@ -148,10 +150,10 @@ class AvoidanceRecord:
         return float(np.min(self.d_min))
 
 
-def parallel_curve(surface, u2, m=96, time=0.0):
+def parallel_curve(surface, u2, m=96):
     """Rotationally symmetric curve: the parallel circle at latitude u2."""
     u1 = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    return FlowCurve(np.stack([u1, np.full(m, float(u2))], axis=1), 1, time)
+    return FlowCurve(np.stack([u1, np.full(m, float(u2))], axis=1), 1)
 
 
 def curve_from_trace(trace, m=512):
@@ -270,7 +272,7 @@ def evolve(surface, init, t_end, policy=None):
     curve = init.copy()
     seg = curve.metric_lengths(surface)
     L0 = float(np.sum(seg))
-    snapshot_dt = policy.snapshot_dt or (t_end / 10.0)
+    snapshot_dt = t_end / SNAPSHOTS
     snapshots = [curve.copy()]
     times = [curve.time]
     lengths = [L0]
@@ -279,7 +281,7 @@ def evolve(surface, init, t_end, policy=None):
     shrinking = False
     next_snap = curve.time + snapshot_dt
     length = L0
-    for step in range(policy.max_steps):
+    for step in range(MAX_STEPS):
         if curve.time >= t_end - 1e-14:
             break
         vel, kappa = curvature_velocity(surface, curve, seg)
@@ -291,7 +293,7 @@ def evolve(surface, init, t_end, policy=None):
         min_sp = float(np.min(seg))
         if min_sp <= 0.0:
             raise FlowError("sample spacing collapsed", snapshot=curve)
-        dt = policy.dt_safety * min_sp * min_sp
+        dt = DT_SAFETY * min_sp * min_sp
         if dt < 1e-16:
             raise FlowError("step size underflow", snapshot=curve)
         dt = min(dt, t_end - curve.time)
@@ -299,8 +301,8 @@ def evolve(surface, init, t_end, policy=None):
         if length < policy.shrink_floor_frac * L0:
             shrinking = True
             break
-        if (step + 1) % policy.resample_check_every == 0:
-            if float(np.max(seg)) > policy.resample_ratio * float(np.min(seg)):
+        if (step + 1) % RESAMPLE_CHECK_EVERY == 0:
+            if float(np.max(seg)) > RESAMPLE_RATIO * float(np.min(seg)):
                 curve = _resample_uniform(curve, surface, seg)
                 seg = curve.metric_lengths(surface)
                 length = float(np.sum(seg))
@@ -331,7 +333,7 @@ def _min_sq_distance(pa, pb):
     return float(np.min(dx * dx + dy * dy + dz * dz))
 
 
-def avoidance_harness(surface, c1, c2, t_end, policy=None, c2_stationary=False):
+def avoidance_harness(surface, c1, c2, t_end, c2_stationary=False):
     """Evolve two disjoint curves on a shared clock, recording min separation.
 
     Both curves take the flow step of ``evolve`` (its chart and 1e-12 length
@@ -341,8 +343,6 @@ def avoidance_harness(surface, c1, c2, t_end, policy=None, c2_stationary=False):
     satisfies the flow).  Raises AvoidanceViolation the moment the squared
     ambient separation reaches zero.
     """
-    if policy is None:
-        policy = FlowPolicy()
     a = c1.copy()
     b = c2.copy()
     a.time = b.time = 0.0
@@ -359,7 +359,7 @@ def avoidance_harness(surface, c1, c2, t_end, policy=None, c2_stationary=False):
     while a.time < t_end - 1e-14:
         vels = [curvature_velocity(surface, c, seg)[0]
                 for c, seg in zip(moving, segs)]
-        dt = min(policy.dt_safety * float(np.min(seg)) ** 2 for seg in segs)
+        dt = min(DT_SAFETY * float(np.min(seg)) ** 2 for seg in segs)
         dt = min(dt, t_end - a.time)
         for k, c in enumerate(moving):
             segs[k], lens[k] = _euler_step(surface, c, vels[k], dt, lens[k])
@@ -381,9 +381,7 @@ def latitude_ode_rhs(surface):
     prof = surface.profile
 
     def rhs(t, y):
-        u2 = y[0]
-        return (
-            -float(prof.dh(u2)) / (float(prof.h(u2)) * float(prof.speed(u2)) ** 2),
-        )
+        h, dh, _, dg, _ = prof.jet(y[0])
+        return (-dh / (h * float(np.hypot(dh, dg)) ** 2),)
 
     return rhs

@@ -52,6 +52,7 @@ DEFAULT_SHOOT_TOL = 1e-12
 DEFAULT_CLOSURE_TOL = 1e-6
 ANGLE_FLOOR = 1e-3
 CROSSING_TOL = 1e-8  # the two passages of a crossing meet within this in (u1, u2)
+_LENGTH_CHECK_SAMPLES = 2048
 
 
 class IntegrationError(RuntimeError):
@@ -133,8 +134,7 @@ class GeodesicTrace:
         """(max Clairaut residual, max unit-speed residual) at accepted steps."""
         prof = self.surface.profile
         u2, du1, du2 = self.ys[1], self.ys[2], self.ys[3]
-        h = np.asarray(prof.h(u2))
-        gam = np.asarray(prof.speed(u2))
+        h, gam = map(np.asarray, prof.metric_factors(u2))
         clair = np.max(np.abs(du1 * h * h - self.clairaut_c))
         speed = np.max(np.abs(h * h * du1**2 + gam * gam * du2**2 - 1.0))
         return float(clair), float(speed)
@@ -142,8 +142,7 @@ class GeodesicTrace:
 
 def clairaut_state(surface, c, u2=0.0, u1=0.0, sign=1.0):
     """Unit-speed initial state with Clairaut constant c at latitude u2."""
-    h = float(surface.profile.h(u2))
-    gam = float(surface.profile.speed(u2))
+    h, gam = map(float, surface.profile.metric_factors(u2))
     rad = 1.0 - c * c / (h * h)
     if rad < -1e-14:
         raise ValueError(f"Clairaut constant {c} unreachable at u2={u2} (h={h})")
@@ -332,11 +331,11 @@ def closure_check(trace, tol=DEFAULT_CLOSURE_TOL, t_candidate=None):
     return None
 
 
-def trace_length(trace, t_range=None, n_check=2048):
+def trace_length(trace, t_range=None):
     """Arc length over a time range (unit-speed: the range width).
 
-    The metric speed is also resampled as a cross-check; a drifting speed
-    indicates an integration problem and raises.
+    The metric speed is also resampled at ``_LENGTH_CHECK_SAMPLES`` times as a
+    cross-check; a drifting speed indicates an integration problem and raises.
     """
     lo = float(trace.ts[0]) if t_range is None else float(t_range[0])
     hi = trace.t_end if t_range is None else float(t_range[1])
@@ -344,11 +343,9 @@ def trace_length(trace, t_range=None, n_check=2048):
         raise ValueError("range outside trace span")
     width = hi - lo
     if trace.sol is not None:
-        ts = np.linspace(lo, hi, n_check)
+        ts = np.linspace(lo, hi, _LENGTH_CHECK_SAMPLES)
         ys = trace.eval(ts)
-        prof = trace.surface.profile
-        h = np.asarray(prof.h(ys[1]))
-        gam = np.asarray(prof.speed(ys[1]))
+        h, gam = map(np.asarray, trace.surface.profile.metric_factors(ys[1]))
         speed = np.sqrt(h * h * ys[2] ** 2 + gam * gam * ys[3] ** 2)
         sampled = float(trapezoid(speed, ts))
         if abs(sampled - width) > 1e-6 * max(1.0, width):

@@ -15,7 +15,7 @@ derivatives may jump):
 
 The tangency parameters of the sphere-catenoid join solve
 
-    a cosh(tau) = cos(phi),     sinh(tau) = tan(phi),
+    a cosh(tau) = cos(phi),     sinh(tau) cos(phi) = sin(phi),
 
 whose exact solution is cos(phi) = sqrt(a), tau = acosh(1 / sqrt(a)); the
 residual of that closed form is checked before it is used.
@@ -168,12 +168,7 @@ def _shift_segment(seg, delta, label=None):
     return ProfileSegment(
         seg.t_lo + delta,
         seg.t_hi + delta,
-        h=lambda t, _s=seg: _s.h(np.asarray(t, dtype=float) - delta),
-        g=lambda t, _s=seg: _s.g(np.asarray(t, dtype=float) - delta),
-        dh=lambda t, _s=seg: _s.dh(np.asarray(t, dtype=float) - delta),
-        dg=lambda t, _s=seg: _s.dg(np.asarray(t, dtype=float) - delta),
-        d2h=lambda t, _s=seg: _s.d2h(np.asarray(t, dtype=float) - delta),
-        d2g=lambda t, _s=seg: _s.d2g(np.asarray(t, dtype=float) - delta),
+        lambda t, _jet=seg.jet: _jet(np.asarray(t, dtype=float) - delta),
         label=label or seg.label,
         config={**seg.config, "param_shift": delta},
     )
@@ -187,7 +182,11 @@ def _solve_sphere_catenoid_tangency(a):
         )
     phi = math.acos(math.sqrt(a))
     tau = math.acosh(1.0 / math.sqrt(a))
-    v = np.array([a * math.cosh(tau) - math.cos(phi), math.sinh(tau) - math.tan(phi)])
+    # the slope equation in product form over cosh(tau): tan(phi) would
+    # amplify the rounding of phi ~ pi/2 by about 1/a, the bare product by
+    # about 1/sqrt(a)
+    v = np.array([a * math.cosh(tau) - math.cos(phi),
+                  (math.sinh(tau) * math.cos(phi) - math.sin(phi)) / math.cosh(tau)])
     res = float(np.linalg.norm(v))
     if res > 1e-10:
         raise ConstructionError(

@@ -26,6 +26,17 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# every figure: the orthographic view from elevation 22 and azimuth -60
+# degrees, 480 px wide, over a wireframe of 12 meridians and 13 parallels
+_ELEV = math.radians(22.0)
+_AZIM = math.radians(-60.0)
+_RIGHT = np.array([-math.sin(_AZIM), math.cos(_AZIM), 0.0])
+_UP = np.array([-math.sin(_ELEV) * math.cos(_AZIM), -math.sin(_ELEV) * math.sin(_AZIM),
+                math.cos(_ELEV)])
+_SVG_WIDTH = 480
+_N_MERIDIANS, _N_PARALLELS, _WIRE_SAMPLES = 12, 13, 160
+_TRACE_SAMPLES = 2048
+
 
 def write_json(path, obj):
     with open(path, "w") as fh:
@@ -41,15 +52,10 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def project_points(pts, elev_deg=22.0, azim_deg=-60.0):
+def project_points(pts):
     """Orthographic screen coordinates (m, 2) of ambient points (m, 3)."""
-    el = math.radians(elev_deg)
-    az = math.radians(azim_deg)
-    right = np.array([-math.sin(az), math.cos(az), 0.0])
-    up = np.array([-math.sin(el) * math.cos(az), -math.sin(el) * math.sin(az),
-                   math.cos(el)])
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return np.stack([pts @ right, pts @ up], axis=1)
+    return np.stack([pts @ _RIGHT, pts @ _UP], axis=1)
 
 
 def _fmt(v):
@@ -65,7 +71,7 @@ def _polyline(screen, stroke, width, opacity=1.0):
     )
 
 
-def _svg_document(elements, extent, timestamp=True, size=480):
+def _svg_document(elements, extent, timestamp=True):
     (xmin, xmax), (ymin, ymax) = extent
     pad = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
     xmin, xmax = xmin - pad, xmax + pad
@@ -79,8 +85,8 @@ def _svg_document(elements, extent, timestamp=True, size=480):
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         header.append(f"<!-- generated {stamp} -->")
     header.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{int(size * h / w)}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+        f'height="{int(_SVG_WIDTH * h / w)}" '
         f'viewBox="{_fmt(xmin)} {_fmt(ymin)} {_fmt(w)} {_fmt(h)}">'
     )
     # flip the y axis so screen-up is positive
@@ -89,8 +95,7 @@ def _svg_document(elements, extent, timestamp=True, size=480):
     return "\n".join(header + list(elements) + footer)
 
 
-def _wireframe_elements(surface, elev, azim, n_meridians=12, n_parallels=13,
-                        samples=160):
+def _wireframe_elements(surface):
     els = []
     lo, hi = surface.u2_range
     extent = [math.inf, -math.inf, math.inf, -math.inf]
@@ -101,37 +106,36 @@ def _wireframe_elements(surface, elev, azim, n_meridians=12, n_parallels=13,
         extent[2] = min(extent[2], float(np.min(screen[:, 1])))
         extent[3] = max(extent[3], float(np.max(screen[:, 1])))
 
-    for k in range(n_meridians):
-        u1 = 2.0 * math.pi * k / n_meridians
-        u2 = np.linspace(lo, hi, samples)
-        pts = surface.point(np.full(samples, u1), u2)
-        screen = project_points(pts, elev, azim)
+    for k in range(_N_MERIDIANS):
+        u1 = 2.0 * math.pi * k / _N_MERIDIANS
+        u2 = np.linspace(lo, hi, _WIRE_SAMPLES)
+        pts = surface.point(np.full(_WIRE_SAMPLES, u1), u2)
+        screen = project_points(pts)
         track(screen)
         els.append(_polyline(screen, "#bbbbbb", 0.004, 0.9))
-    for k in range(1, n_parallels + 1):
-        u2 = lo + (hi - lo) * k / (n_parallels + 1)
-        u1 = np.linspace(0.0, 2.0 * math.pi, samples + 1)
-        pts = surface.point(u1, np.full(samples + 1, u2))
-        screen = project_points(pts, elev, azim)
+    for k in range(1, _N_PARALLELS + 1):
+        u2 = lo + (hi - lo) * k / (_N_PARALLELS + 1)
+        u1 = np.linspace(0.0, 2.0 * math.pi, _WIRE_SAMPLES + 1)
+        pts = surface.point(u1, np.full(_WIRE_SAMPLES + 1, u2))
+        screen = project_points(pts)
         track(screen)
         els.append(_polyline(screen, "#bbbbbb", 0.004, 0.9))
     return els, ((extent[0], extent[1]), (extent[2], extent[3]))
 
 
-def trace_figure_svg(surface, trace, period=None, n=2048, elev=22.0, azim=-60.0,
-                     timestamp=True):
-    """Orthographic figure of a geodesic trace drawn over the surface wireframe."""
-    els, extent = _wireframe_elements(surface, elev, azim)
-    if period is None:
-        period = trace.closure.period if trace.closure else trace.t_end
-    ts = np.linspace(0.0, period, n)
+def trace_figure_svg(surface, trace, timestamp=True):
+    """Orthographic figure of a geodesic trace, over one period when it is
+    certified closed, drawn over the surface wireframe."""
+    els, extent = _wireframe_elements(surface)
+    period = trace.closure.period if trace.closure else trace.t_end
+    ts = np.linspace(0.0, period, _TRACE_SAMPLES)
     ys = trace.eval(ts)
     pts = surface.point(ys[0], ys[1])
-    screen = project_points(pts, elev, azim)
+    screen = project_points(pts)
     els.append(_polyline(screen, "#202020", 0.012))
     for cr in trace.crossings:
         p = surface.point(cr.u1, cr.u2)
-        s = project_points(p, elev, azim)[0]
+        s = project_points(p)[0]
         els.append(
             f'<circle cx="{_fmt(s[0])}" cy="{_fmt(s[1])}" r="0.02" '
             f'fill="none" stroke="#aa2222" stroke-width="0.008" />'
@@ -139,12 +143,12 @@ def trace_figure_svg(surface, trace, period=None, n=2048, elev=22.0, azim=-60.0,
     return _svg_document(els, extent, timestamp)
 
 
-def flow_figure_svg(surface, curve, elev=22.0, azim=-60.0, timestamp=True):
+def flow_figure_svg(surface, curve, timestamp=True):
     """One CSF snapshot drawn over the surface wireframe."""
-    els, extent = _wireframe_elements(surface, elev, azim)
+    els, extent = _wireframe_elements(surface)
     samples = np.vstack([curve.samples, curve.samples[:1]
                          + np.array([2.0 * math.pi * curve.winding, 0.0])])
     pts = surface.point(samples[:, 0], samples[:, 1])
-    screen = project_points(pts, elev, azim)
+    screen = project_points(pts)
     els.append(_polyline(screen, "#99262b", 0.012))
     return _svg_document(els, extent, timestamp)

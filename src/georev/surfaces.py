@@ -14,7 +14,6 @@ the second derivatives jump.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -23,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .numerics import QuadratureSpec, integrate_1d
+from .report import write_csv
 
 __all__ = [
     "ProfileSegment",
@@ -44,8 +44,8 @@ __all__ = [
 
 JOIN_TOL = 1e-10
 _POLE_TOL = 1e-12
-# evaluator names of the profile jet (h, h', h'', g', g'')
-_JET = ("h", "dh", "d2h", "dg", "d2g")
+# positions of the components in ProfileSegment.jet
+_H, _G, _DH, _DG, _D2H, _D2G = range(6)
 
 
 class PoleError(ValueError):
@@ -56,17 +56,14 @@ class PoleError(ValueError):
 class ProfileSegment:
     """One closed-form piece of a profile curve on [t_lo, t_hi].
 
-    All six evaluators must accept floats or numpy arrays.
+    ``jet(t)`` returns (h, g, h', g', h'', g'') at t, a float or a numpy
+    array, computing each transcendental factor once; components with equal
+    values may be one shared array, so callers copy before writing.
     """
 
     t_lo: float
     t_hi: float
-    h: Callable
-    g: Callable
-    dh: Callable
-    dg: Callable
-    d2h: Callable
-    d2g: Callable
+    jet: Callable
     label: str = ""
     config: dict = field(default_factory=dict)
 
@@ -109,11 +106,10 @@ class ProfileCurve:
         out = []
         for left, right in zip(self.segments, self.segments[1:]):
             t = left.t_hi
-            dp = math.hypot(
-                float(left.h(t)) - float(right.h(t)), float(left.g(t)) - float(right.g(t))
-            )
-            vl = np.array([float(left.dh(t)), float(left.dg(t))])
-            vr = np.array([float(right.dh(t)), float(right.dg(t))])
+            pl = np.array(left.jet(t)[:4], dtype=float)  # (h, g, h', g')
+            pr = np.array(right.jet(t)[:4], dtype=float)
+            dp = math.hypot(*(pl[:2] - pr[:2]))
+            vl, vr = pl[2:], pr[2:]
             dv = np.linalg.norm(vl / np.linalg.norm(vl) - vr / np.linalg.norm(vr))
             out.append(dp + dv)
         return out
@@ -122,38 +118,39 @@ class ProfileCurve:
         i = bisect_right(self.breaks, t) - 1
         return min(max(i, 0), len(self.segments) - 1)
 
-    def _eval(self, names, t):
-        """Values of the named segment evaluators at t, locating the segments once."""
+    def _eval(self, comps, t):
+        """Components ``comps`` (positions in ProfileSegment.jet) at t, locating
+        the segments once."""
         if np.ndim(t) == 0:
             t = float(t)
-            seg = self.segments[self._segment_index(t)]
-            return [float(getattr(seg, name)(t)) for name in names]
+            jet = self.segments[self._segment_index(t)].jet(t)
+            return [float(jet[k]) for k in comps]
         t = np.asarray(t, dtype=float)
         if len(self.segments) == 1:
             # every point clips to segment 0: evaluate it on the whole array
             # (contiguous, like the masked path's t[m] copy)
-            seg = self.segments[0]
             t = np.ascontiguousarray(t)
+            jet = self.segments[0].jet(t)
             outs = []
-            for name in names:
+            for k in comps:
                 out = np.empty_like(t)
-                out[...] = getattr(seg, name)(t)
+                out[...] = jet[k]
                 outs.append(out)
             return outs
-        outs = [np.empty_like(t) for _ in names]
+        outs = [np.empty_like(t) for _ in comps]
         idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0,
                       len(self.segments) - 1)
         for i, seg in enumerate(self.segments):
             m = idx == i
             if np.any(m):
-                tm = t[m]
-                for out, name in zip(outs, names):
-                    out[m] = getattr(seg, name)(tm)
+                jet = seg.jet(t[m])
+                for out, k in zip(outs, comps):
+                    out[m] = jet[k]
         return outs
 
     def jet(self, t):
         """(h, h', h'', g', g'') at t: floats for a scalar t, arrays for an array."""
-        return self._eval(_JET, t)
+        return self._eval((_H, _DH, _D2H, _DG, _D2G), t)
 
     def christoffel(self, u2):
         """Metric factors and Christoffel symbols of diag(h^2, gamma^2) at u2.
@@ -169,29 +166,33 @@ class ProfileCurve:
     def metric_factors(self, t):
         """(h, gamma) at t, the square roots of the metric diag(h^2, gamma^2),
         from one segment lookup."""
-        h, dh, dg = self._eval(("h", "dh", "dg"), t)
+        h, dh, dg = self._eval((_H, _DH, _DG), t)
         return h, np.hypot(dh, dg)
 
+    def position(self, t):
+        """(h, g) at t, the profile point, from one segment lookup."""
+        return self._eval((_H, _G), t)
+
     def h(self, t):
-        return self._eval(("h",), t)[0]
+        return self._eval((_H,), t)[0]
 
     def g(self, t):
-        return self._eval(("g",), t)[0]
+        return self._eval((_G,), t)[0]
 
     def dh(self, t):
-        return self._eval(("dh",), t)[0]
+        return self._eval((_DH,), t)[0]
 
     def dg(self, t):
-        return self._eval(("dg",), t)[0]
+        return self._eval((_DG,), t)[0]
 
     def d2h(self, t):
-        return self._eval(("d2h",), t)[0]
+        return self._eval((_D2H,), t)[0]
 
     def d2g(self, t):
-        return self._eval(("d2g",), t)[0]
+        return self._eval((_D2G,), t)[0]
 
     def speed(self, t):
-        return np.hypot(*self._eval(("dh", "dg"), t))
+        return np.hypot(*self._eval((_DH, _DG), t))
 
     def dspeed(self, t):
         _, dh, d2h, dg, d2g = self.jet(t)
@@ -216,13 +217,12 @@ class CurvatureData:
 class RevolutionSurface:
     """Immutable surface of revolution with metric, curvature, and energy helpers."""
 
-    def __init__(self, profile: ProfileCurve, name: str = "", extra_config=None):
+    def __init__(self, profile: ProfileCurve, name: str = ""):
         self.profile = profile
         self.name = name
         h_lo = float(profile.h(profile.t_min))
         h_hi = float(profile.h(profile.t_max))
         self.closed_at_poles = (abs(h_lo) < 1e-9, abs(h_hi) < 1e-9)
-        self._extra_config = dict(extra_config or {})
 
     # -- basic geometry ----------------------------------------------------
 
@@ -236,10 +236,9 @@ class RevolutionSurface:
 
     def point(self, u1, u2):
         """Ambient coordinates; broadcasts over arrays."""
-        h = self.profile.h(u2)
+        h, g = self.profile.position(u2)
         return np.stack(
-            np.broadcast_arrays(h * np.cos(u1), h * np.sin(u1), self.profile.g(u2)),
-            axis=-1,
+            np.broadcast_arrays(h * np.cos(u1), h * np.sin(u1), g), axis=-1
         )
 
     def metric_at(self, u2):
@@ -247,8 +246,7 @@ class RevolutionSurface:
         lo, hi = self.u2_range
         if not lo <= u2 <= hi:
             raise ValueError(f"u2={u2} outside profile domain [{lo}, {hi}]")
-        h = float(self.profile.h(u2))
-        gam = float(self.profile.speed(u2))
+        h, gam = map(float, self.profile.metric_factors(u2))
         return (h * h, 0.0, gam * gam)
 
     def curvatures_at(self, u2) -> CurvatureData:
@@ -308,12 +306,13 @@ class RevolutionSurface:
                 continue
 
             def dA(t, _seg=seg):
-                return _seg.h(t) * np.hypot(_seg.dh(t), _seg.dg(t))
+                h, _, dh, dg, _, _ = _seg.jet(t)
+                return h * np.hypot(dh, dg)
 
             def dW(t, _seg=seg):
-                jet = _segment_jet(_seg, t)
-                km, kp, gam = _principal_curvatures(*jet)
-                return (km + kp) ** 2 * jet[0] * gam
+                h, _, dh, dg, d2h, d2g = _seg.jet(t)
+                km, kp, gam = _principal_curvatures(h, dh, d2h, dg, d2g)
+                return (km + kp) ** 2 * h * gam
 
             area += integrate_1d(dA, a, b, spec)
             willmore += integrate_1d(dW, a, b, spec)
@@ -333,10 +332,10 @@ class RevolutionSurface:
                 continue
 
             def dK(t, _seg=seg):
-                jet = _segment_jet(_seg, t)
-                km, _, _ = _principal_curvatures(*jet)
+                h, _, dh, dg, d2h, d2g = _seg.jet(t)
+                km, _, _ = _principal_curvatures(h, dh, d2h, dg, d2g)
                 # K h gamma = kappa_m * dg, finite at poles
-                return km * jet[3]
+                return km * dg
 
             total += integrate_1d(dK, a, b, spec)
         return 2.0 * math.pi * total
@@ -352,7 +351,7 @@ class RevolutionSurface:
             aa, bb = max(a, seg.t_lo), min(b, seg.t_hi)
             if aa < bb:
                 total += integrate_1d(
-                    lambda t, _s=seg: np.hypot(_s.dh(t), _s.dg(t)), aa, bb, spec
+                    lambda t, _s=seg: np.hypot(*_s.jet(t)[2:4]), aa, bb, spec
                 )
         return total
 
@@ -371,10 +370,8 @@ class RevolutionSurface:
             lo, hi = max(lo, u2_range[0]), min(hi, u2_range[1])
 
         def pair_max(ti, tj):
-            h_i = np.asarray(self.profile.h(ti))[:, None]
-            g_i = np.asarray(self.profile.g(ti))[:, None]
-            h_j = np.asarray(self.profile.h(tj))[None, :]
-            g_j = np.asarray(self.profile.g(tj))[None, :]
+            h_i, g_i = (v[:, None] for v in self.profile.position(ti))
+            h_j, g_j = (v[None, :] for v in self.profile.position(tj))
             d_pi = (h_i + h_j) ** 2 + (g_i - g_j) ** 2
             d_0 = (h_i - h_j) ** 2 + (g_i - g_j) ** 2
             both = np.maximum(d_pi, d_0)
@@ -397,22 +394,11 @@ class RevolutionSurface:
         """The surface scaled by lam > 0 (profile reparametrized by t -> t)."""
         if lam <= 0:
             raise ValueError("scale factor must be positive")
-        segs = []
-        for s in self.profile.segments:
-            segs.append(
-                ProfileSegment(
-                    s.t_lo,
-                    s.t_hi,
-                    h=lambda t, _s=s: lam * _s.h(t),
-                    g=lambda t, _s=s: lam * _s.g(t),
-                    dh=lambda t, _s=s: lam * _s.dh(t),
-                    dg=lambda t, _s=s: lam * _s.dg(t),
-                    d2h=lambda t, _s=s: lam * _s.d2h(t),
-                    d2g=lambda t, _s=s: lam * _s.d2g(t),
-                    label=s.label,
-                    config={**s.config, "scaled_by": lam},
-                )
-            )
+        segs = [
+            replace(s, jet=lambda t, _jet=s.jet: tuple(lam * v for v in _jet(t)),
+                    config={**s.config, "scaled_by": lam})
+            for s in self.profile.segments
+        ]
         return RevolutionSurface(
             ProfileCurve(segs), name=name or f"{self.name}*{lam}"
         )
@@ -426,28 +412,16 @@ class RevolutionSurface:
         u2 = np.linspace(lo, hi, n_u2)
         rows = []
         for v in u2:
-            h = float(self.profile.h(v))
-            z = float(self.profile.g(v))
+            h, z = self.profile.position(v)
             for u in u1:
                 rows.append((float(u), float(v), h * math.cos(u), h * math.sin(u), z))
         return rows
 
     def export_csv(self, path, n_u1=64, n_u2=64):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["u1", "u2", "x", "y", "z"])
-            for row in self.sample_grid(n_u1, n_u2):
-                w.writerow([repr(v) for v in row])
+        write_csv(path, ["u1", "u2", "x", "y", "z"], self.sample_grid(n_u1, n_u2))
 
     def config(self):
-        cfg = {"name": self.name, "profile": self.profile.config()}
-        cfg.update(self._extra_config)
-        return cfg
-
-
-def _segment_jet(seg, t):
-    """(h, h', h'', g', g'') of one segment, without locating it."""
-    return [getattr(seg, name)(t) for name in _JET]
+        return {"name": self.name, "profile": self.profile.config()}
 
 
 def _principal_curvatures(h, dh, d2h, dg, d2g):
@@ -472,15 +446,15 @@ def _principal_curvatures(h, dh, d2h, dg, d2g):
 def sphere_profile(radius=1.0, center_z=0.0, phi_lo=-math.pi / 2, phi_hi=math.pi / 2):
     """Sphere of given radius parametrized by latitude phi; phi = +-pi/2 are poles."""
     R, z0 = float(radius), float(center_z)
+
+    def jet(t):
+        h, r_sin = R * np.cos(t), R * np.sin(t)
+        return h, z0 + r_sin, -r_sin, h, -h, -r_sin
+
     return ProfileSegment(
         phi_lo,
         phi_hi,
-        h=lambda t: R * np.cos(t),
-        g=lambda t: z0 + R * np.sin(t),
-        dh=lambda t: -R * np.sin(t),
-        dg=lambda t: R * np.cos(t),
-        d2h=lambda t: -R * np.cos(t),
-        d2g=lambda t: -R * np.sin(t),
+        jet,
         label="sphere",
         config={"kind": "sphere", "radius": R, "center_z": z0,
                 "phi_lo": phi_lo, "phi_hi": phi_hi},
@@ -495,15 +469,16 @@ def cap_profile(radius, center_z, phi_lo, phi_hi=math.pi / 2):
 
 def cylinder_profile(radius, z_lo, z_hi):
     a = float(radius)
+
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        one, zero = np.ones_like(t), np.zeros_like(t)
+        return a * one, t + 0.0, zero, one, zero, zero
+
     return ProfileSegment(
         z_lo,
         z_hi,
-        h=lambda t: a * np.ones_like(np.asarray(t, dtype=float)),
-        g=lambda t: np.asarray(t, dtype=float) + 0.0,
-        dh=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        dg=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        d2h=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d2g=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        jet,
         label="cylinder",
         config={"kind": "cylinder", "radius": a, "z_lo": z_lo, "z_hi": z_hi},
     )
@@ -512,15 +487,17 @@ def cylinder_profile(radius, z_lo, z_hi):
 def catenoid_profile(waist, t_lo, t_hi, z_offset=0.0):
     """Catenoid h = a cosh(t/a), height t + z_offset; minimal (H = 0)."""
     a, z0 = float(waist), float(z_offset)
+
+    def jet(t):
+        u = t / a
+        cosh = np.cosh(u)
+        t = np.asarray(t, dtype=float)
+        return a * cosh, t + z0, np.sinh(u), np.ones_like(t), cosh / a, np.zeros_like(t)
+
     return ProfileSegment(
         t_lo,
         t_hi,
-        h=lambda t: a * np.cosh(t / a),
-        g=lambda t: np.asarray(t, dtype=float) + z0,
-        dh=lambda t: np.sinh(t / a),
-        dg=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        d2h=lambda t: np.cosh(t / a) / a,
-        d2g=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        jet,
         label="catenoid",
         config={"kind": "catenoid", "waist": a, "t_lo": t_lo, "t_hi": t_hi,
                 "z_offset": z0},
@@ -530,15 +507,17 @@ def catenoid_profile(waist, t_lo, t_hi, z_offset=0.0):
 def spheroid_profile(b, scale=1.0, t_lo=-math.pi / 2, t_hi=math.pi / 2, z_offset=0.0):
     """Spheroid profile (h, g) = scale * (cos t, b sin t); b > 1 is prolate."""
     b, s, z0 = float(b), float(scale), float(z_offset)
+    sb = s * b
+
+    def jet(t):
+        cos, sin = np.cos(t), np.sin(t)
+        h, sb_sin = s * cos, sb * sin
+        return h, z0 + sb_sin, -s * sin, sb * cos, -h, -sb_sin
+
     return ProfileSegment(
         t_lo,
         t_hi,
-        h=lambda t: s * np.cos(t),
-        g=lambda t: z0 + s * b * np.sin(t),
-        dh=lambda t: -s * np.sin(t),
-        dg=lambda t: s * b * np.cos(t),
-        d2h=lambda t: -s * np.cos(t),
-        d2g=lambda t: -s * b * np.sin(t),
+        jet,
         label="spheroid",
         config={"kind": "spheroid", "b": b, "scale": s, "t_lo": t_lo,
                 "t_hi": t_hi, "z_offset": z0},
@@ -548,15 +527,16 @@ def spheroid_profile(b, scale=1.0, t_lo=-math.pi / 2, t_hi=math.pi / 2, z_offset
 def paraboloid_profile(t_hi, coeff=0.5):
     """Graph-of-r^2 profile (h, g) = (t, coeff t^2) used for cross-checks."""
     c = float(coeff)
+
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        one = np.ones_like(t)
+        return t + 0.0, c * t ** 2, one, 2.0 * c * t, np.zeros_like(t), 2.0 * c * one
+
     return ProfileSegment(
         0.0,
         t_hi,
-        h=lambda t: np.asarray(t, dtype=float) + 0.0,
-        g=lambda t: c * np.asarray(t, dtype=float) ** 2,
-        dh=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        dg=lambda t: 2.0 * c * np.asarray(t, dtype=float),
-        d2h=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d2g=lambda t: 2.0 * c * np.ones_like(np.asarray(t, dtype=float)),
+        jet,
         label="paraboloid",
         config={"kind": "paraboloid", "t_hi": t_hi, "coeff": c},
     )
@@ -567,18 +547,16 @@ def dumbbell_profile(half_width=0.8, neck_depth=0.6, neck_sigma=0.3):
     d, s2 = float(neck_depth), float(neck_sigma) ** 2
     w = float(half_width)
 
-    def bump(t):
-        return np.exp(-np.asarray(t, dtype=float) ** 2 / (2.0 * s2))
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        bump = np.exp(-t ** 2 / (2.0 * s2))
+        return (1.0 - d * bump, t + 0.0, d * t / s2 * bump, np.ones_like(t),
+                d / s2 * (1.0 - t ** 2 / s2) * bump, np.zeros_like(t))
 
     return ProfileSegment(
         -w,
         w,
-        h=lambda t: 1.0 - d * bump(t),
-        g=lambda t: np.asarray(t, dtype=float) + 0.0,
-        dh=lambda t: d * np.asarray(t, dtype=float) / s2 * bump(t),
-        dg=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        d2h=lambda t: d / s2 * (1.0 - np.asarray(t, dtype=float) ** 2 / s2) * bump(t),
-        d2g=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        jet,
         label="dumbbell",
         config={"kind": "dumbbell", "half_width": w, "neck_depth": d,
                 "neck_sigma": math.sqrt(s2)},

@@ -49,6 +49,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .audits import AuditReport
+from .report import write_csv
 
 __all__ = [
     "Region",
@@ -533,15 +534,12 @@ def region_gauss_bonnet(region, xi=None, tol=1e-3):
     return region.KdA, angle_sum, residual, checks
 
 
-def complement_energy_audit(regions, total_W=None, xi=None, tol=1e-3):
+def complement_energy_audit(regions, tol=1e-3):
     """Willmore energy of each region's complement against 2 pi (+ N_i xi)."""
     if not regions:
         return []
     deco = regions[0].decomposition
-    if total_W is None:
-        total_W = deco.total_willmore
-    if xi is None:
-        xi = deco.xi
+    total_W, xi = deco.total_willmore, deco.xi
     reports = []
     for r in regions:
         comp = total_W - r.willmore
@@ -567,25 +565,13 @@ def complement_energy_audit(regions, total_W=None, xi=None, tol=1e-3):
 
 
 def export_region_table(regions, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "area", "KdA", "willmore", "N_i", "boundary_length",
-                    "cells", "corner_angles"])
-        for r in regions:
-            w.writerow(
-                [
-                    r.id,
-                    repr(r.area),
-                    repr(r.KdA),
-                    repr(r.willmore),
-                    r.N_i,
-                    repr(r.boundary_length),
-                    r.cell_count,
-                    ";".join(repr(c.exterior) for c in r.corners),
-                ]
-            )
+    write_csv(
+        path,
+        ["id", "area", "KdA", "willmore", "N_i", "boundary_length", "cells",
+         "corner_angles"],
+        [[r.id, r.area, r.KdA, r.willmore, r.N_i, r.boundary_length, r.cell_count,
+          ";".join(repr(c.exterior) for c in r.corners)] for r in regions],
+    )
 
 
 def mask_to_pgm(mask, path=None):

@@ -114,9 +114,16 @@ class TestEvolve:
                    FlowPolicy(convergence_tol=0.0))
 
     def test_snapshots_cadence(self, dumbbell):
-        res = evolve(dumbbell, parallel_curve(dumbbell, 0.2, m=64), 0.4,
-                     FlowPolicy(snapshot_dt=0.1, convergence_tol=1e-9))
-        assert len(res.snapshots) >= 4
+        t_end = 0.4
+        res = evolve(dumbbell, parallel_curve(dumbbell, 0.2, m=64), t_end,
+                     FlowPolicy(convergence_tol=1e-9))
+        # the initial curve, one snapshot per t_end / SNAPSHOTS, the final curve
+        assert len(res.snapshots) == flow.SNAPSHOTS + 2
+        cadence = t_end / flow.SNAPSHOTS
+        for k, snap in enumerate(res.snapshots[1:-1], start=1):
+            # the first step that reaches the k-th mark
+            assert snap.time == min(t for t in res.times if t >= k * cadence - 1e-12)
+        assert res.snapshots[-1].time == t_end
 
 
 class TestAvoidance:
@@ -216,7 +223,7 @@ def _ref_evolve(surface, init, t_end, policy):
     pad = 1e-9
     curve = init.copy()
     L0 = curve.length(surface)
-    snapshot_dt = policy.snapshot_dt or (t_end / 10.0)
+    snapshot_dt = t_end / flow.SNAPSHOTS
     snapshots = [curve.copy()]
     times = [curve.time]
     lengths = [L0]
@@ -225,7 +232,7 @@ def _ref_evolve(surface, init, t_end, policy):
     resamples = 0
     next_snap = curve.time + snapshot_dt
     length = L0
-    for step in range(policy.max_steps):
+    for step in range(flow.MAX_STEPS):
         if curve.time >= t_end - 1e-14:
             break
         vel, kappa = flow.curvature_velocity(surface, curve)
@@ -236,7 +243,7 @@ def _ref_evolve(surface, init, t_end, policy):
             break
         seg = curve.metric_lengths(surface)
         min_sp = float(np.min(seg))
-        dt = policy.dt_safety * min_sp * min_sp
+        dt = flow.DT_SAFETY * min_sp * min_sp
         dt = min(dt, t_end - curve.time)
         curve.samples = curve.samples + dt * vel
         curve.time += dt
@@ -248,9 +255,9 @@ def _ref_evolve(surface, init, t_end, policy):
         if new_len < policy.shrink_floor_frac * L0:
             shrinking = True
             break
-        if (step + 1) % policy.resample_check_every == 0:
+        if (step + 1) % flow.RESAMPLE_CHECK_EVERY == 0:
             seg = curve.metric_lengths(surface)
-            if float(np.max(seg)) > policy.resample_ratio * float(np.min(seg)):
+            if float(np.max(seg)) > flow.RESAMPLE_RATIO * float(np.min(seg)):
                 curve = flow._resample_uniform(curve, surface,
                                                curve.metric_lengths(surface))
                 resamples += 1
@@ -270,7 +277,7 @@ def _ref_evolve(surface, init, t_end, policy):
     return res, resamples
 
 
-def _ref_harness(surface, c1, c2, t_end, policy, c2_stationary):
+def _ref_harness(surface, c1, c2, t_end, c2_stationary):
     a = c1.copy()
     b = c2.copy()
 
@@ -285,10 +292,10 @@ def _ref_harness(surface, c1, c2, t_end, policy, c2_stationary):
     t = 0.0
     while t < t_end - 1e-14:
         vel_a, _ = flow.curvature_velocity(surface, a)
-        dt = policy.dt_safety * float(np.min(a.metric_lengths(surface))) ** 2
+        dt = flow.DT_SAFETY * float(np.min(a.metric_lengths(surface))) ** 2
         if not c2_stationary:
             vel_b, _ = flow.curvature_velocity(surface, b)
-            dt_b = policy.dt_safety * float(np.min(b.metric_lengths(surface))) ** 2
+            dt_b = flow.DT_SAFETY * float(np.min(b.metric_lengths(surface))) ** 2
             dt = min(dt, dt_b)
         dt = min(dt, t_end - t)
         a.samples = a.samples + dt * vel_a
@@ -353,8 +360,7 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("c2_u2, stationary", [(0.0, True), (-0.25, False)])
     def test_avoidance_harness(self, c2_u2, stationary, dumbbell, reference):
         args = (dumbbell, parallel_curve(dumbbell, 0.25, m=64),
-                parallel_curve(dumbbell, c2_u2, m=64), 0.3, FlowPolicy(),
-                stationary)
+                parallel_curve(dumbbell, c2_u2, m=64), 0.3, stationary)
         got = avoidance_harness(*args)
         reference()
         want = _ref_harness(*args)

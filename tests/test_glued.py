@@ -44,17 +44,19 @@ class TestCylinderFamily:
             assert abs(surf.joins["s_a"] - (1.0 - math.sqrt(1.0 - a))) < 1e-12
 
     def test_tangency_residual_across_a(self):
-        sweep = np.concatenate([np.geomspace(1e-5, 1.0 - 1e-9, 500),
+        sweep = np.concatenate([np.geomspace(1e-12, 1.0 - 1e-9, 500),
                                 np.linspace(1e-3, 0.999, 500)])
         for a in sweep:
             phi, tau, res = _solve_sphere_catenoid_tangency(float(a))
             assert res < 1e-10
             assert abs(math.cos(phi) ** 2 - a) < 1e-12
 
-    def test_tangency_certificate_rejects_tiny_a(self):
-        # tan(phi) amplifies the rounding of phi ~ pi/2 by 1/a
-        with pytest.raises(ConstructionError, match="residual"):
-            _solve_sphere_catenoid_tangency(1e-9)
+    def test_tangency_certificate_accepts_tiny_a(self):
+        # (sinh(tau) cos(phi) - sin(phi)) / cosh(tau) stays well conditioned
+        # where tan(phi) would amplify the rounding of phi ~ pi/2 by 1/a
+        for a in (1e-7, 1e-9, 1e-12):
+            _, _, res = _solve_sphere_catenoid_tangency(a)
+            assert res < 1e-10
 
     def test_quadrature_matches_closed_forms(self):
         for a, rule in ((0.1, "2a"), (0.05, "2a^2")):
@@ -155,10 +157,9 @@ class TestSpheroidBandFamily:
         bare = spheroid_profile(sol.b, scale=cfg.a, t_lo=-cfg.a, t_hi=cfg.a)
         ts = np.linspace(-cfg.a * 0.99, cfg.a * 0.99, 31)
         shift = neck.t_lo + cfg.a
-        for name in ("h", "dh", "dg", "d2h", "d2g"):
-            ours = getattr(neck, name)(ts + shift)
-            ref = getattr(bare, name)(ts)
-            assert np.all(ours == ref), name
+        for k, (ours, ref) in enumerate(zip(neck.jet(ts + shift), bare.jet(ts))):
+            if k != 1:  # every component but g, which the metric does not use
+                assert np.all(ours == ref), k
 
     def test_requires_b(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ from georev.numerics import QuadratureSpec
 from georev.surfaces import (
     PoleError,
     ProfileCurve,
+    ProfileSegment,
     RevolutionSurface,
+    cap_profile,
     catenoid_profile,
     cylinder_profile,
     dumbbell_profile,
@@ -101,19 +103,12 @@ class TestCurvatures:
 
 
 def _cone_segment():
-    from georev.surfaces import ProfileSegment
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        one, zero = np.ones_like(t), np.zeros_like(t)
+        return t + 0.0, t + 0.0, one, one, zero, zero
 
-    return ProfileSegment(
-        0.0,
-        1.0,
-        h=lambda t: np.asarray(t, dtype=float) + 0.0,
-        g=lambda t: np.asarray(t, dtype=float) + 0.0,
-        dh=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        dg=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        d2h=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d2g=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        label="cone",
-    )
+    return ProfileSegment(0.0, 1.0, jet, label="cone")
 
 
 def _two_piece_sphere():
@@ -275,8 +270,8 @@ class TestJet:
         prof = _jet_profiles()["glued-cylinder"]
         assert len(prof.segments) == 4
         for k, b in enumerate(prof.interior_breaks(), start=1):
-            seg = prof.segments[k]
-            want = [float(getattr(seg, n)(b)) for n in ("h", "dh", "d2h", "dg", "d2g")]
+            h, _, dh, dg, d2h, d2g = prof.segments[k].jet(b)
+            want = [float(v) for v in (h, dh, d2h, dg, d2g)]
             assert prof.jet(b) == want
             assert [float(v[0]) for v in prof.jet(np.array([b]))] == want
 
@@ -290,10 +285,13 @@ class TestJet:
         np.testing.assert_array_equal(dh_h, prof.dh(ts) / h)
         np.testing.assert_array_equal(hdh_gg, h * prof.dh(ts) / (gam * gam))
         np.testing.assert_array_equal(dgam_gam, prof.dspeed(ts) / gam)
-        for t in (ts, float(ts[7])):
+        for t in (ts, float(ts[7]), prof.breaks, float(prof.breaks[-2])):
             mh, mgam = prof.metric_factors(t)
-            np.testing.assert_array_equal(mh, prof.h(t))
-            np.testing.assert_array_equal(mgam, prof.speed(t))
+            ph, pg = prof.position(t)
+            for got, want in ((mh, prof.h(t)), (mgam, prof.speed(t)),
+                              (ph, prof.h(t)), (pg, prof.g(t))):
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("name", ["unit-sphere", "glued-cylinder"])
     def test_curvatures_at_equals_grids(self, name):
@@ -313,19 +311,19 @@ class TestJet:
             assert cd.abs_H == abs(H)
 
 
-def _masked_eval(prof, names, t):
+def _masked_eval(prof, comps, t):
     """The segment-masked array loop of ``ProfileCurve._eval``, kept as the
     reference for its single-segment fast path."""
     t = np.asarray(t, dtype=float)
-    outs = [np.empty_like(t) for _ in names]
+    outs = [np.empty_like(t) for _ in comps]
     idx = np.clip(np.searchsorted(prof.breaks, t, side="right") - 1, 0,
                   len(prof.segments) - 1)
     for i, seg in enumerate(prof.segments):
         m = idx == i
         if np.any(m):
-            tm = t[m]
-            for out, name in zip(outs, names):
-                out[m] = getattr(seg, name)(tm)
+            jet = seg.jet(t[m])
+            for out, k in zip(outs, comps):
+                out[m] = jet[k]
     return outs
 
 
@@ -345,13 +343,140 @@ class TestSingleSegmentFastPath:
         inside = np.linspace(lo, hi, 97)
         outside = np.array([lo - 0.5, lo - 1e-9, hi + 1e-9, hi + 0.5])
         grid = np.linspace(lo, hi, 35).reshape(5, 7)
-        names = ("h", "g", "dh", "dg", "d2h", "d2g")
+        comps = tuple(range(6))
         cases = [inside, outside, grid, grid.T, np.empty(0), np.empty((0, 3)),
                  inside.reshape(-1, 1)[::2, 0], [0.5 * (lo + hi)]]
         for t in cases:
-            got = prof._eval(names, t)
-            want = _masked_eval(prof, names, t)
+            got = prof._eval(comps, t)
+            want = _masked_eval(prof, comps, t)
             for g, w in zip(got, want):
                 assert g.dtype == np.float64
                 assert g.shape == np.shape(t)
                 assert g.tobytes() == w.tobytes()
+
+
+# -- the six-evaluator segments of the builders before ``ProfileSegment.jet``:
+# one lambda per component, kept as the reference for every builder's jet
+
+
+def _ref_sphere(R=1.0, z0=0.0):
+    return (
+        lambda t: R * np.cos(t),
+        lambda t: z0 + R * np.sin(t),
+        lambda t: -R * np.sin(t),
+        lambda t: R * np.cos(t),
+        lambda t: -R * np.cos(t),
+        lambda t: -R * np.sin(t),
+    )
+
+
+def _ref_cylinder(a):
+    return (
+        lambda t: a * np.ones_like(np.asarray(t, dtype=float)),
+        lambda t: np.asarray(t, dtype=float) + 0.0,
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+    )
+
+
+def _ref_catenoid(a, z0=0.0):
+    return (
+        lambda t: a * np.cosh(t / a),
+        lambda t: np.asarray(t, dtype=float) + z0,
+        lambda t: np.sinh(t / a),
+        lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        lambda t: np.cosh(t / a) / a,
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+    )
+
+
+def _ref_spheroid(b, s=1.0, z0=0.0):
+    return (
+        lambda t: s * np.cos(t),
+        lambda t: z0 + s * b * np.sin(t),
+        lambda t: -s * np.sin(t),
+        lambda t: s * b * np.cos(t),
+        lambda t: -s * np.cos(t),
+        lambda t: -s * b * np.sin(t),
+    )
+
+
+def _ref_paraboloid(c=0.5):
+    return (
+        lambda t: np.asarray(t, dtype=float) + 0.0,
+        lambda t: c * np.asarray(t, dtype=float) ** 2,
+        lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        lambda t: 2.0 * c * np.asarray(t, dtype=float),
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        lambda t: 2.0 * c * np.ones_like(np.asarray(t, dtype=float)),
+    )
+
+
+def _ref_dumbbell(d=0.6, sigma=0.3):
+    s2 = sigma ** 2
+
+    def bump(t):
+        return np.exp(-np.asarray(t, dtype=float) ** 2 / (2.0 * s2))
+
+    return (
+        lambda t: 1.0 - d * bump(t),
+        lambda t: np.asarray(t, dtype=float) + 0.0,
+        lambda t: d * np.asarray(t, dtype=float) / s2 * bump(t),
+        lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        lambda t: d / s2 * (1.0 - np.asarray(t, dtype=float) ** 2 / s2) * bump(t),
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+    )
+
+
+def _ref_shift(fns, delta):
+    return tuple(lambda t, _f=f: _f(np.asarray(t, dtype=float) - delta) for f in fns)
+
+
+def _ref_scaled(fns, lam):
+    return tuple(lambda t, _f=f: lam * _f(t) for f in fns)
+
+
+def _jet_cases():
+    from georev.glued import _shift_segment
+
+    cat = catenoid_profile(0.1, -0.3, 0.0, z_offset=0.9)
+    return {
+        "sphere": (sphere_profile(), _ref_sphere()),
+        "cap": (cap_profile(0.4, 0.7, 0.2), _ref_sphere(0.4, 0.7)),
+        "cylinder": (cylinder_profile(0.5, 0.0, 2.0), _ref_cylinder(0.5)),
+        "catenoid": (catenoid_profile(0.5, -0.4, 0.4), _ref_catenoid(0.5)),
+        "catenoid-offset": (cat, _ref_catenoid(0.1, 0.9)),
+        "spheroid": (spheroid_profile(1.7, 0.3, -1.2, 1.0, 0.25),
+                     _ref_spheroid(1.7, 0.3, 0.25)),
+        "paraboloid": (paraboloid_profile(1.5, 0.8), _ref_paraboloid(0.8)),
+        "dumbbell": (dumbbell_profile(), _ref_dumbbell()),
+        "shifted-catenoid": (_shift_segment(cat, 1.3),
+                             _ref_shift(_ref_catenoid(0.1, 0.9), 1.3)),
+        "scaled-spheroid": (
+            spheroid_surface(0.6).scaled(2.5).profile.segments[0],
+            _ref_scaled(_ref_spheroid(0.6), 2.5),
+        ),
+    }
+
+
+class TestSegmentJet:
+    """Each builder's jet equals the six evaluators it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_jet_cases()))
+    def test_equals_six_evaluators(self, name):
+        seg, ref = _jet_cases()[name]
+        lo, hi = seg.t_lo, seg.t_hi
+        inside = np.linspace(lo, hi, 53)
+        cases = [0.5 * (lo + hi), lo, hi, np.float64(lo + 0.3 * (hi - lo)),
+                 inside, inside.reshape(-1, 1)[::2, 0], inside[1:].reshape(4, 13),
+                 np.array([lo, hi])]
+        for t in cases:
+            jet = seg.jet(t)
+            assert len(jet) == 6
+            for k, (got, f) in enumerate(zip(jet, ref)):
+                want = f(t)
+                assert type(got) is type(want), (k, t)
+                assert np.shape(got) == np.shape(want), (k, t)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, t)
