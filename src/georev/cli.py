@@ -34,7 +34,7 @@ from .flow import (
     parallel_curve,
 )
 from .geodesics import (
-    clairaut_state,
+    clairaut_trace,
     closure_check,
     detect_self_intersections,
     parallel_state,
@@ -63,7 +63,7 @@ from .report import (
     write_csv,
     write_json,
 )
-from .spheroid import SolverError, eval_Ic, solve_for_geodesic
+from .spheroid import SolverError, _check_resolved, eval_Ic, solve_for_geodesic
 from .surfaces import (
     ProfileCurve,
     RevolutionSurface,
@@ -208,14 +208,13 @@ def _glued_band(params, tol, outdir, timestamp):
     surf = build_glued_family(cfg)
     spec = _quad_spec(tol)
     A, W = surf.area_and_willmore(spec=spec)
-    # shoot the same geodesic on the glued surface (scaled Clairaut constant)
-    center = surf.neck_u2
-    init = clairaut_state(surf, sol.c * a, u2=center)
+    # trace the same geodesic on the glued surface (scaled Clairaut constant)
     t_max = 4.0 * (N + 1) * math.pi / (2.0 * sol.c) * a * 1.05
-    trace = shoot(surf, init, t_max, tol=tol["shoot_tol"])
+    trace = clairaut_trace(surf, sol.c * a, t_max, u2=surf.neck_u2)
+    _check_resolved(trace, tol["shoot_tol"], "the glued spheroid-band surface")
     if trace.turning_times.size == 0:
         raise SolverError(
-            "no latitude turning point found on the geodesic shot on the "
+            "no latitude turning point found on the geodesic traced on the "
             "glued spheroid-band surface"
         )
     t0 = float(trace.turning_times[0])

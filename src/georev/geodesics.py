@@ -1,16 +1,25 @@
-"""Geodesic shooting on surfaces of revolution.
+"""Geodesics on surfaces of revolution: the Clairaut quadrature and shooting.
 
-Integrates the geodesic system
+A geodesic with Clairaut constant c != 0 (c = u1' h(u2)^2, conserved)
+oscillates between two turning latitudes where h = |c|.  ``clairaut_trace``
+builds it from two 1D integrals between them (``_ClairautSolution``): the
+half-period and the u1 advance of one half-oscillation, plus series for
+u1 and u2 in time; every later half-oscillation is the mirror image of the
+first, shifted in u1.  This is the route of the spheroid, tiling and
+spheroid-band constructions.
+
+``shoot`` integrates the geodesic system
 
     u1'' + 2 (h'/h) u1' u2' = 0
     u2'' - (h h'/gamma^2) u1'^2 + (gamma'/gamma) u2'^2 = 0
 
 (coefficients from ``ProfileCurve.christoffel``) with an adaptive explicit
 Runge-Kutta scheme (DOP853 by default, Hairer, Norsett & Wanner, Solving
-ODEs I, II.5), monitoring (not enforcing) the two conserved quantities of a
-unit-speed Clairaut geodesic: the speed E u1'^2 + G u2'^2 = 1 and the
-Clairaut constant c = u1' h(u2)^2.  The angle u1 is tracked in the universal
-cover (never reduced mod 2 pi inside the integrator).
+ODEs I, II.5), monitoring (not enforcing) the two conserved quantities: the
+speed E u1'^2 + G u2'^2 = 1 and c.  The angle u1 is tracked in the universal
+cover (never reduced mod 2 pi inside the integrator).  Shooting traces
+parallels and meridians, which have no turning latitudes, and is the
+independent route the quadrature is checked against.
 
 Closure is certified by position and tangent defects at a candidate period.
 Self-intersections come from the mirror symmetry of a Clairaut geodesic:
@@ -29,6 +38,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy.integrate import solve_ivp, trapezoid
 from scipy.optimize import brentq
 
@@ -41,6 +51,7 @@ __all__ = [
     "NeedsMoreTimeError",
     "DegenerateCrossingWarning",
     "shoot",
+    "clairaut_trace",
     "clairaut_state",
     "parallel_state",
     "closure_check",
@@ -79,9 +90,6 @@ class GeodesicState:
     du1: float
     du2: float
 
-    def as_array(self):
-        return np.array([self.u1, self.u2, self.du1, self.du2])
-
 
 @dataclass(frozen=True)
 class Crossing:
@@ -104,10 +112,10 @@ class GeodesicTrace:
     """Time-stamped geodesic trajectory with dense interpolation."""
 
     surface: object
-    ts: np.ndarray  # accepted step times
-    ys: np.ndarray  # 4 x n states at accepted steps
+    ts: np.ndarray  # accepted step times, or samples of a quadrature trace
+    ys: np.ndarray  # 4 x n states at ts
     clairaut_c: float
-    sol: object = None  # dense OdeSolution
+    sol: object = None  # dense interpolant: t -> (4,) or (4, n) states
     turning_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     closure: ClosureRecord | None = None
     crossings: list = field(default_factory=list)
@@ -126,9 +134,6 @@ class GeodesicTrace:
     def state(self, t):
         y = self.eval(float(t))
         return GeodesicState(float(t), *map(float, y))
-
-    def step_sizes(self):
-        return np.diff(self.ts)
 
     def conservation_drift(self):
         """(max Clairaut residual, max unit-speed residual) at accepted steps."""
@@ -293,6 +298,208 @@ def shoot(surface, init, t_end, tol=DEFAULT_SHOOT_TOL, method="DOP853"):
     return trace
 
 
+# -- the Clairaut quadrature ---------------------------------------------------------
+
+_CHEB_DEG = 64  # degree of every series of a quadrature trace
+_CHEB_J = np.arange(_CHEB_DEG + 1)
+_CHEB_THETA = math.pi * _CHEB_J / _CHEB_DEG
+_CHEB_X = np.cos(_CHEB_THETA)  # Chebyshev-Lobatto points, from x = 1 down to -1
+# values at _CHEB_X -> Chebyshev coefficients (the discrete cosine transform)
+_CHEB_FIT = (2.0 / _CHEB_DEG) * np.cos(np.outer(_CHEB_J, _CHEB_THETA))
+_CHEB_FIT[:, [0, -1]] *= 0.5
+_CHEB_FIT[[0, -1]] *= 0.5
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+_LADDER = 48  # turning-latitude brackets: offsets 2^-48 .. 1 of the way to the end
+_NEWTON_STEPS = 6
+_EVAL_BLOCK = 1024  # points per block of the Chebyshev matrix in array evaluation
+_SAMPLES_PER_HALF = 16  # trace.ts per half-oscillation
+
+
+def _turning_latitude(prof, c, u2, end):
+    """The first latitude from u2 toward ``end`` where h falls to c."""
+    pts = u2 + (end - u2) * 2.0 ** -np.arange(_LADDER, -1, -1.0)
+    below = np.flatnonzero(np.asarray(prof.h(pts)) <= c)
+    if below.size == 0:
+        raise ValueError(f"the geodesic with Clairaut constant {c} does not turn "
+                         f"between u2={u2} and u2={end}")
+    i = int(below[0])
+    lo = u2 if i == 0 else float(pts[i - 1])
+    return brentq(lambda t: prof.h(t) - c, lo, float(pts[i]), xtol=1e-300,
+                  rtol=4.0 * np.finfo(float).eps)
+
+
+def _chebyshev_rows(y, n):
+    """T_0(y) .. T_{n-1}(y) as the rows of an (n, len(y)) array."""
+    rows = np.empty((n, y.size))
+    rows[0] = 1.0
+    rows[1] = y
+    y2 = 2.0 * y
+    for j in range(2, n):
+        np.multiply(y2, rows[j - 1], out=rows[j])
+        rows[j] -= rows[j - 2]
+    return rows
+
+
+def _series_tail(coef):
+    """Largest of the last three coefficients relative to the largest one."""
+    coef = np.abs(coef)
+    return float(np.max(coef[-3:]) / np.max(coef))
+
+
+class _ClairautSolution:
+    """Dense interpolant of a Clairaut geodesic, built from one half-oscillation.
+
+    Between its turning latitudes a < b, where h = |c|, the unit-speed
+    geodesic satisfies (do Carmo, Differential Geometry of Curves and
+    Surfaces, 4-4)
+
+        dt/du2 = h gamma / sqrt(h^2 - c^2),
+        du1/du2 = c gamma / (h sqrt(h^2 - c^2)).
+
+    With u2 = m + r sin(pi x / 2), m = (a + b) / 2, r = (b - a) / 2, both
+    integrands are smooth in x on [-1, 1].  They are sampled at the degree-64
+    Chebyshev-Lobatto points and integrated as Chebyshev series, which gives
+    the half-period and the u1 advance of a half-oscillation.  Near a
+    turning latitude h^2 - c^2 would cancel, so each point takes its distance
+    d from the nearer turning latitude from the angle of its Chebyshev point,
+    and h - |c| = d q with q the mean of |h'| over that distance (8-point
+    Gauss-Legendre); then cos(phi) / sqrt(h - |c|) = cos(psi / 2)
+    sqrt(2 / (r q)) with psi = pi (1 -+ x) / 2.  The time series is inverted
+    by Newton at the Chebyshev points in time, and u1, u2 are fitted as
+    series in the time within a half-oscillation.  Every other
+    half-oscillation is the mirror image of the first, shifted in u1 by the
+    advance, so the whole geodesic follows from the three series; u1' is
+    c / h(u2)^2 exactly.  Time 0 is the start latitude u2, moving upward.
+    """
+
+    def __init__(self, profile, c, u2):
+        self.profile = profile
+        self.c = c
+        cabs = abs(c)
+        if not profile.h(u2) > cabs:
+            raise ValueError(f"Clairaut constant {c} unreachable at u2={u2}")
+        a = _turning_latitude(profile, cabs, u2, profile.t_min)
+        b = _turning_latitude(profile, cabs, u2, profile.t_max)
+        if any(a < br < b for br in profile.interior_breaks()):
+            raise ValueError(f"a profile join lies between the turning latitudes "
+                             f"{a} and {b}")
+        dh_a, dh_b = profile.jet(a)[1], profile.jet(b)[1]
+        if not dh_a > 0.0 > dh_b:
+            raise ValueError(f"degenerate turning latitude: h' = {dh_a} at {a}, "
+                             f"{dh_b} at {b}")
+        m, r = 0.5 * (a + b), 0.5 * (b - a)
+
+        # distance d of each Chebyshev point from the nearer turning latitude
+        near_b = _CHEB_THETA <= 0.5 * math.pi
+        half = np.where(near_b, np.sin(0.5 * _CHEB_THETA), np.cos(0.5 * _CHEB_THETA))
+        psi = math.pi * half * half
+        d = 2.0 * r * np.sin(0.5 * psi) ** 2
+        inward = np.where(near_b, -1.0, 1.0)
+        ends = np.where(near_b, b, a)
+        pts = ends[:, None] + (inward * d)[:, None] * (0.5 * (1.0 + _GL_X))
+        _, dh, _, dg, _ = profile.jet(np.concatenate([pts.ravel(), ends + inward * d]))
+        n_gl = pts.size
+        q = inward * (0.5 * dh[:n_gl].reshape(pts.shape) @ _GL_W)
+        if not np.all(q > 0.0):  # a dip below |c| the bracket ladder stepped over
+            raise ValueError(f"h - |c| is not positive throughout the band ({a}, {b}) "
+                             f"for |c| = {cabs}")
+        h = cabs + d * q
+        gam = np.hypot(dh[n_gl:], dg[n_gl:])
+        dt_dx = (0.5 * math.pi) * h * gam * np.cos(0.5 * psi) * np.sqrt(
+            2.0 * r / q) / np.sqrt(h + cabs)
+        c_t, c_u1 = _CHEB_FIT @ dt_dx, _CHEB_FIT @ (c / (h * h) * dt_dx)
+        int_t = chebyshev.chebint(c_t, lbnd=-1.0)
+        int_u1 = chebyshev.chebint(c_u1, lbnd=-1.0)
+        T = self.half_period = float(np.sum(int_t))  # T_j(1) = 1
+        self.half_advance = float(np.sum(int_u1))
+
+        # x at the Chebyshev points in time, by Newton on the time series
+        sigma = 0.5 * T * (1.0 + _CHEB_X)
+        tau = int_t @ _chebyshev_rows(_CHEB_X, _CHEB_DEG + 2)
+        x = np.interp(sigma, tau[::-1], _CHEB_X[::-1])
+        for _ in range(_NEWTON_STEPS):
+            rows = _chebyshev_rows(x, _CHEB_DEG + 2)
+            x -= (int_t @ rows - sigma) / (c_t @ rows[:-1])
+            np.clip(x, -1.0, 1.0, out=x)
+        x[0], x[-1] = 1.0, -1.0
+        c_u1_t = _CHEB_FIT @ (int_u1 @ _chebyshev_rows(x, _CHEB_DEG + 2))
+        c_u2_t = _CHEB_FIT @ (m + r * np.sin(0.5 * math.pi * x))
+        c_du2_t = np.zeros_like(c_u2_t)
+        c_du2_t[:-1] = chebyshev.chebder(c_u2_t) * (2.0 / T)
+        self.coef = np.stack([c_u1_t, c_u2_t, c_du2_t])
+        self.tail = max(_series_tail(v) for v in (c_t, c_u1, c_u1_t, c_u2_t))
+
+        # time 0 is the start latitude on the way up, where u1 = 0
+        x0 = 2.0 / math.pi * math.asin(max(-1.0, min(1.0, (u2 - m) / r)))
+        self.t_shift = float(int_t @ _chebyshev_rows(np.array([x0]), _CHEB_DEG + 2)[:, 0])
+        self.u1_shift = self._series_scalar(self.t_shift)[0]
+
+    @property
+    def first_turn(self):
+        """Time of the first arrival at the upper turning latitude."""
+        return self.half_period - self.t_shift
+
+    def _series_scalar(self, sigma):
+        """[u1, u2, u2'] of the first half-oscillation at its time sigma."""
+        y = min(1.0, max(-1.0, 2.0 * sigma / self.half_period - 1.0))
+        return (self.coef @ np.cos(_CHEB_J * math.acos(y))).tolist()
+
+    def _eval_scalar(self, t):
+        T = self.half_period
+        s = t + self.t_shift
+        k = math.floor(s / T)
+        odd = k % 2 == 1
+        u1, u2, du2 = self._series_scalar(T - (s - k * T) if odd else s - k * T)
+        u1 = (k + 1) * self.half_advance - u1 if odd else k * self.half_advance + u1
+        h = self.profile.h(u2)
+        return np.array([u1 - self.u1_shift, u2, self.c / (h * h), -du2 if odd else du2])
+
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            return self._eval_scalar(float(t))
+        T = self.half_period
+        s = np.asarray(t, dtype=float).ravel() + self.t_shift
+        k = np.floor(s / T)
+        odd = (k.astype(np.int64) & 1).astype(bool)
+        sigma = s - k * T
+        sigma[odd] = T - sigma[odd]
+        y = np.clip((2.0 / T) * sigma - 1.0, -1.0, 1.0)
+        v = np.empty((3, y.size))
+        for lo in range(0, y.size, _EVAL_BLOCK):
+            hi = lo + _EVAL_BLOCK
+            v[:, lo:hi] = self.coef @ _chebyshev_rows(y[lo:hi], _CHEB_DEG + 1)
+        u1 = k * self.half_advance + v[0]
+        u1[odd] = (k[odd] + 1.0) * self.half_advance - v[0, odd]
+        v[2, odd] *= -1.0
+        h = self.profile.h(v[1])
+        return np.stack([u1 - self.u1_shift, v[1], self.c / (h * h), v[2]])
+
+
+def clairaut_trace(surface, c, t_end, u2=0.0):
+    """The unit-speed geodesic with Clairaut constant c, from the quadrature.
+
+    The geodesic starts at latitude u2 moving upward (the state
+    ``clairaut_state(surface, c, u2)``) and is evaluated by
+    ``_ClairautSolution`` at any time; ``ts`` samples [0, t_end] at
+    ``_SAMPLES_PER_HALF`` points per half-oscillation and ``turning_times``
+    lists the latitude turning times in [0, t_end].  ``meta["series_tail"]``
+    is the worst relative tail of the series, a measure of their accuracy.
+    Raises ValueError when c is not reached inside u2, when a turning
+    latitude is degenerate (h' = 0) or when a profile join lies between the
+    turning latitudes.  Parallels and meridians are shot instead.
+    """
+    sol = _ClairautSolution(surface.profile, float(c), float(u2))
+    T = sol.half_period
+    t_end = float(t_end)
+    ts = np.linspace(0.0, t_end, math.ceil(_SAMPLES_PER_HALF * t_end / T) + 1)
+    n_turns = max(0, math.floor((t_end - sol.first_turn) / T) + 1)
+    return GeodesicTrace(
+        surface, ts, sol(ts), float(c), sol=sol,
+        turning_times=sol.first_turn + T * np.arange(n_turns),
+        meta={"series_tail": sol.tail},
+    )
+
+
 def _wrap_pi(x):
     """Reduce to (-pi, pi]."""
     return np.mod(np.asarray(x) + math.pi, 2.0 * math.pi) - math.pi
@@ -359,9 +566,13 @@ def trace_length(trace, t_range=None):
 
 
 def _canonical_time(t, t_start, T):
-    """Representative of t modulo T in [t_start, t_start + T)."""
+    """Representative of t modulo T in [t_start, t_start + T).
+
+    A time within 1e-12 T below t_start + T is the start itself: the start
+    point's crossing reads t_start whichever side of it rounding puts t.
+    """
     r = (t - t_start) % T
-    return t_start + (0.0 if r >= T else r)  # a tiny negative t - t_start rounds to T
+    return t_start + (0.0 if r >= T * (1.0 - 1e-12) else r)
 
 
 def _passage_times(trace, t_lo, t_hi, targets, sign):

@@ -197,8 +197,26 @@ def _solve_sphere_catenoid_tangency(a):
 
 
 def _build_cylinder_family(cfg):
-    a = cfg.a
     H = cfg.height()
+    try:
+        profile, joins, neck_range = _cylinder_family_profile(cfg, H)
+    except ValueError as exc:  # raised by ProfileSegment or ProfileCurve
+        raise ConstructionError(
+            f"neck a={cfg.a!r} with cylinder height rule {cfg.cylinder_height!r} "
+            f"(height {H:.3e}) is too thin for the profile parameter: {exc}"
+        ) from exc
+    return GluedSurface(
+        profile,
+        cfg,
+        joins,
+        neck_range,
+        notes=(LITERAL_HEIGHT_NOTE,) if parse_height_rule(cfg.cylinder_height) == (2.0, 1.0) else (),
+    )
+
+
+def _cylinder_family_profile(cfg, H):
+    """(profile, joins, neck range) of the cylinder family at height H."""
+    a = cfg.a
     segs = []
     joins = {}
     if cfg.bottom == "capped-unit-sphere-with-catenoid":
@@ -238,15 +256,7 @@ def _build_cylinder_family(cfg):
     else:
         raise ConstructionError(f"unsupported top {cfg.top!r} for cylinder neck")
 
-    profile = ProfileCurve(segs)
-    surf = GluedSurface(
-        profile,
-        cfg,
-        joins,
-        (neck_lo, neck_hi),
-        notes=(LITERAL_HEIGHT_NOTE,) if parse_height_rule(cfg.cylinder_height) == (2.0, 1.0) else (),
-    )
-    return surf
+    return ProfileCurve(segs), joins, (neck_lo, neck_hi)
 
 
 def _build_spheroid_band_family(cfg):

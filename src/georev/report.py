@@ -8,7 +8,6 @@ optional timestamp comment in the SVG header, which can be disabled.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from datetime import datetime, timezone
@@ -45,11 +44,23 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
+    """Rows as csv's default dialect writes them, each field formatted by str.
+
+    A float's str is its shortest round-trip repr.  No field is quoted: one
+    that would need quotes (a comma, a quote, CR or LF, or a lone empty
+    field) or is None, which csv writes as an empty field, raises ValueError.
+    """
+    rows = [tuple(header), *map(tuple, rows)]
+    text = "\r\n".join([",".join(map(str, row)) for row in rows])
+    breaks = len(rows) - 1
+    if ('"' in text or text.count("\r") != breaks or text.count("\n") != breaks
+            or text.count(",") != sum(max(len(row) - 1, 0) for row in rows)
+            or ("None" in text and any(None in row for row in rows))
+            or ("",) in rows):
+        raise ValueError("a csv field needs quoting or is None")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        # csv formats a float with str, which is its shortest round-trip repr
-        w.writerows(rows)
+        fh.write(text)
+        fh.write("\r\n")
 
 
 def project_points(pts):

@@ -11,7 +11,10 @@ exactly when the total azimuthal increment
 is an integer multiple (N + 1) of pi, in which case the closed geodesic has
 exactly N distinct self-intersections.  I_c is sandwiched between
 2 c b K(k) and 2 sqrt(c^2 (b^2 - 1) + 1) K(k) with k = sqrt(1 - c^2), and is
-strictly increasing in b, so a bracketed solve in b realizes any N.
+strictly increasing in b, so a bracketed solve in b realizes any N.  The
+geodesic itself comes from the Clairaut quadrature between its turning
+latitudes (``geodesics.clairaut_trace``), whose u1 advance per
+half-oscillation is a second, independent evaluation of I_c.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ from .numerics import (
 )
 from .geodesics import (
     _defects,
-    clairaut_state,
+    clairaut_trace,
     closure_check,
     detect_self_intersections,
-    shoot,
     trace_length,
 )
 from .surfaces import spheroid_surface
@@ -42,7 +44,6 @@ __all__ = [
     "SpheroidSolution",
     "SolverError",
     "eval_Ic",
-    "eval_Ic_smooth",
     "ic_sandwich_bounds",
     "solve_for_geodesic",
 ]
@@ -81,21 +82,6 @@ def eval_Ic(b, c, spec=None):
     return 2.0 * c * integrate_1d(f, c, 1.0, spec)
 
 
-def eval_Ic_smooth(b, c, n=400):
-    """Independent evaluation after the substitution y^2 = c^2 + (1-c^2) sin^2 phi.
-
-    The transformed integrand 2 c sqrt(b^2 - 1 + y^(-2)) / y is smooth on
-    [0, pi/2]; fixed-order Gauss-Legendre reaches machine precision.  Used as
-    a cross-check oracle for eval_Ic.
-    """
-    b, c = float(b), float(c)
-    x, w = np.polynomial.legendre.leggauss(n)
-    phi = 0.25 * math.pi * (x + 1.0)
-    y = np.sqrt(c * c + (1.0 - c * c) * np.sin(phi) ** 2)
-    vals = np.sqrt(b * b - 1.0 + 1.0 / (y * y)) / y
-    return 2.0 * c * 0.25 * math.pi * float(np.dot(w, vals))
-
-
 def ic_sandwich_bounds(b, c):
     """(lower, upper) = (2 c b K(k), 2 sqrt(c^2(b^2-1)+1) K(k)), k = sqrt(1-c^2)."""
     k = math.sqrt((1.0 - c) * (1.0 + c))
@@ -105,7 +91,7 @@ def ic_sandwich_bounds(b, c):
 
 @dataclass(frozen=True)
 class SpheroidSolution:
-    """Solved spheroid geodesic data, verified against the shot trajectory."""
+    """Solved spheroid geodesic data, verified on its quadrature trace."""
 
     N: int
     eps: float
@@ -142,14 +128,30 @@ class SpheroidSolution:
         return problems
 
 
+def _check_resolved(trace, shoot_tol, where):
+    """SolverError when a quadrature trace's series tail exceeds 10 * shoot_tol.
+
+    At degree 64 the tails of the spheroid runs stay near 1e-15, far below
+    the default 1e-11.
+    """
+    tail = trace.meta["series_tail"]
+    if not tail <= 10.0 * shoot_tol:  # NaN fails too
+        raise SolverError(
+            f"quadrature trace for {where} resolved only to {tail:.1e}, "
+            f"above 10 * shoot_tol = {10.0 * shoot_tol:.1e}"
+        )
+
+
 def solve_for_geodesic(N, eps, shoot_tol=1e-12, closure_tol=1e-6):
     """Find (b, c) so the spheroid carries a closed geodesic with N crossings.
 
     The latitude amplitude is set first, c = cos(eps (1 - _AMPLITUDE_MARGIN))
     so that max |u2| = arccos(c) < eps, then b is bisected over
     (N+1, N+1+eps) for I_c = (N+1) pi.  If the bracket carries no sign change,
-    c is relaxed toward 1 geometrically.  The geodesic is then shot, closure
-    at 4 t0 is certified, and the crossing count is extracted.
+    c is relaxed toward 1 geometrically.  The geodesic is then traced by the
+    Clairaut quadrature, closure at 4 t0 is certified, and the crossing count
+    is extracted.  ``shoot_tol`` is the accuracy target of the trace: a
+    series whose relative tail exceeds 10 * shoot_tol raises SolverError.
     """
     if N < 1 or not 0.0 < eps < 1.0:
         raise ValueError("need N >= 1 and 0 < eps < 1")
@@ -178,9 +180,10 @@ def solve_for_geodesic(N, eps, shoot_tol=1e-12, closure_tol=1e-6):
 
     surface = spheroid_surface(b)
     t_max = 4.0 * target / (2.0 * c) * 1.05
-    trace = shoot(surface, clairaut_state(surface, c), t_max, tol=shoot_tol)
+    trace = clairaut_trace(surface, c, t_max)
+    _check_resolved(trace, shoot_tol, f"N={N}, eps={eps}")
     if trace.turning_times.size == 0:
-        raise SolverError("no latitude turning point found on the shot geodesic")
+        raise SolverError("no latitude turning point found on the traced geodesic")
     t0 = float(trace.turning_times[0])
     rec = closure_check(trace, tol=closure_tol, t_candidate=4.0 * t0)
     if rec is None:

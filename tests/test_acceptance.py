@@ -116,8 +116,15 @@ def test_criterion_02_geodesic_verification():
         hi = 2.0 * (N + 1) * math.pi / sol.c
         ok = ok and lo <= sol.length <= hi
         ok = ok and dt < 10.0
-        detail.append(f"N={N}: closure={sol.closure_position_defect:.1e}")
-    _report(2, "closure, crossing count, drifts, length bounds", ok,
+        # the independent route: a DOP853 shot of the same geodesic
+        T = trace.closure.period
+        shot = shoot(surf, clairaut_state(surf, sol.c), T)
+        ts = np.linspace(0.0, T, 1024)
+        gap = float(np.max(np.abs(trace.eval(ts)[:2] - shot.eval(ts)[:2])))
+        ok = ok and gap < 1e-10
+        detail.append(f"N={N}: closure={sol.closure_position_defect:.1e}, "
+                      f"shot gap={gap:.1e}")
+    _report(2, "closure, crossing count, drifts, length bounds, shot agreement", ok,
             "; ".join(detail))
 
 

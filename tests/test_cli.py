@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import georev.cli as cli
 from georev.cli import main
@@ -120,15 +121,30 @@ class TestGluedCommand:
         assert summary["notes"] == []
         assert abs(summary["neck_geodesic_length"] - 2 * math.pi * 0.05) < 1e-9
 
-    def test_band_without_turning_point(self, tmp_path, monkeypatch):
-        real_shoot = cli.shoot
+    @pytest.mark.parametrize("args,rule,height", [
+        (["--a", "1e-9", "--cyl-height", "2a^2"], "'2a^2'", "2.000e-18"),
+        (["--a", "1e-13"], "'2a'", "2.000e-13"),
+    ])
+    def test_unresolvable_neck_is_a_construction_error(self, tmp_path, args, rule,
+                                                        height):
+        out = tmp_path / "run"
+        rc = run(["glued", *args, "--out", out, "--no-timestamp"])
+        assert rc == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConstructionError"
+        assert f"a={float(args[1])!r}" in err["error"]
+        assert f"rule {rule}" in err["error"]
+        assert f"height {height}" in err["error"]
 
-        def shoot_without_turning(*args, **kwargs):
-            trace = real_shoot(*args, **kwargs)
+    def test_band_without_turning_point(self, tmp_path, monkeypatch):
+        real_trace = cli.clairaut_trace
+
+        def trace_without_turning(*args, **kwargs):
+            trace = real_trace(*args, **kwargs)
             trace.turning_times = np.empty(0)
             return trace
 
-        monkeypatch.setattr(cli, "shoot", shoot_without_turning)
+        monkeypatch.setattr(cli, "clairaut_trace", trace_without_turning)
         out = tmp_path / "run"
         rc = run(["glued", "--kind", "spheroid-band", "--out", out,
                   "--no-timestamp"])

@@ -10,14 +10,22 @@ from georev.geodesics import (
     IntegrationError,
     NeedsMoreTimeError,
     clairaut_state,
+    clairaut_trace,
     closure_check,
     detect_self_intersections,
     parallel_state,
     shoot,
     trace_length,
 )
+from georev.glued import GluedFamilyConfig, build_glued_family
 from georev.spheroid import eval_Ic
-from georev.surfaces import spheroid_surface, unit_sphere
+from georev.surfaces import (
+    ProfileCurve,
+    ProfileSegment,
+    RevolutionSurface,
+    spheroid_surface,
+    unit_sphere,
+)
 from conftest import solved_case
 from polyline_oracle import polyline_crossings, same_pairs
 
@@ -79,7 +87,7 @@ class TestShoot:
 
     def test_step_metadata(self, sphere):
         tr = shoot(sphere, parallel_state(sphere, 0.0), 10.0)
-        assert np.all(tr.step_sizes() > 0)
+        assert np.all(np.diff(tr.ts) > 0)
 
 
 class TestClosure:
@@ -255,6 +263,74 @@ class TestMirrorRoute:
         _, _, tr = case_n3_e02
         with pytest.raises(ValueError, match="latitude period"):
             detect_self_intersections(tr, period=1.5 * tr.closure.period)
+
+
+def _position_gap(trace, shot, period, n=512):
+    ts = np.linspace(0.0, period, n)
+    return float(np.max(np.abs(trace.eval(ts)[:2] - shot.eval(ts)[:2])))
+
+
+class TestClairautTrace:
+    """The quadrature trace against a DOP853 shot, the independent route."""
+
+    def test_failure_map_against_the_shot(self):
+        for N, eps in FAILURE_MAP:
+            sol, surf, tr = solved_case(N, eps)
+            T = tr.closure.period
+            shot = shoot(surf, clairaut_state(surf, sol.c), T)
+            assert _position_gap(tr, shot, T) < 1e-10, (N, eps)
+            assert sol.crossings == N
+            assert closure_check(tr, 1e-6, t_candidate=T) is not None
+
+    def test_glued_band_against_the_shot(self):
+        a, N = 0.005, 3
+        sol, _, _ = solved_case(N, 0.9 * a)
+        surf = build_glued_family(
+            GluedFamilyConfig(a=a, neck_kind="spheroid-band", b=sol.b))
+        t_max = 4.0 * (N + 1) * math.pi / (2.0 * sol.c) * a * 1.05
+        tr = clairaut_trace(surf, sol.c * a, t_max, u2=surf.neck_u2)
+        T = 4.0 * float(tr.turning_times[0])
+        assert closure_check(tr, 1e-6, t_candidate=T) is not None
+        assert len(detect_self_intersections(tr)) == N
+        shot = shoot(surf, clairaut_state(surf, sol.c * a, u2=surf.neck_u2), T)
+        assert _position_gap(tr, shot, T) < 1e-12
+
+    def test_band_over_a_profile_join_raises(self):
+        # turning latitudes at +-0.02 lie in the caps beyond the joins at +-a
+        a = 0.005
+        surf = build_glued_family(
+            GluedFamilyConfig(a=a, neck_kind="spheroid-band", b=4.0))
+        with pytest.raises(ValueError, match="profile join"):
+            clairaut_trace(surf, a * math.cos(0.02), 1.0, u2=surf.neck_u2)
+
+    def test_starts_at_the_clairaut_state(self, case_n3_e02):
+        sol, surf, tr = case_n3_e02
+        y0 = tr.eval(0.0)
+        init = clairaut_state(surf, sol.c)
+        assert y0[0] == 0.0
+        assert abs(y0[1] - init.u2) < 1e-15
+        assert abs(y0[2] - init.du1) < 1e-15
+        assert abs(y0[3] - init.du2) < 1e-13
+
+    def test_dip_between_the_brackets_raises(self):
+        # a narrow waist at t = 0.9 where h falls to 0.12 lies inside the
+        # bracket [0.785, 1.571] of the ladder from the equator, whose root
+        # solve lands on h = 0.3 at t = 1.266, beyond the waist
+        def jet(t):
+            t = np.asarray(t, dtype=float)
+            bump = 0.8 * np.exp(-0.5 * ((t - 0.9) / 0.01) ** 2)
+            h = np.cos(t) * (1.0 - bump)
+            dh = -np.sin(t) * (1.0 - bump) + np.cos(t) * bump * (t - 0.9) / 1e-4
+            return h, np.sin(t), dh, np.cos(t), 0.0 * t, 0.0 * t
+
+        surf = RevolutionSurface(ProfileCurve(
+            [ProfileSegment(-math.pi / 2, math.pi / 2, jet)]))
+        with pytest.raises(ValueError, match="not positive"):
+            clairaut_trace(surf, 0.3, 1.0)
+
+    def test_unreachable_constant_raises(self):
+        with pytest.raises(ValueError, match="unreachable"):
+            clairaut_trace(spheroid_surface(2.0), 1.5, 1.0)
 
 
 class TestLength:

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from georev.geodesics import clairaut_trace
 from georev.spheroid import (
     eval_Ic,
-    eval_Ic_smooth,
     ic_sandwich_bounds,
     solve_for_geodesic,
 )
+from georev.surfaces import spheroid_surface
 
 # (N, eps) -> published figure parameters
 FIGURE_CASES = {
@@ -27,11 +28,15 @@ class TestClosureIntegral:
             assert abs(eval_Ic(1.0, float(c)) - math.pi) < 1e-9
 
     def test_tanh_sinh_vs_smooth_substitution(self):
+        # the u1 advance of a half-oscillation of the Clairaut quadrature,
+        # whose substitution u2 = m + r sin(phi) removes the endpoint
+        # singularities, is a second route to I_c
         rng = np.random.default_rng(11)
         for _ in range(25):
             b = float(rng.uniform(1.0, 6.0))
             c = float(rng.uniform(0.05, 0.999))
-            assert abs(eval_Ic(b, c) - eval_Ic_smooth(b, c)) < 1e-10
+            advance = clairaut_trace(spheroid_surface(b), c, 1.0).sol.half_advance
+            assert abs(eval_Ic(b, c) - advance) < 1e-10
 
     def test_sandwich_at_reference_point(self):
         lo, hi = ic_sandwich_bounds(5.0, 0.9)
