@@ -210,7 +210,7 @@ def _glued_band(params, tol, outdir, timestamp):
     A, W = surf.area_and_willmore(spec=spec)
     # trace the same geodesic on the glued surface (scaled Clairaut constant)
     t_max = 4.0 * (N + 1) * math.pi / (2.0 * sol.c) * a * 1.05
-    trace = clairaut_trace(surf, sol.c * a, t_max, u2=surf.neck_u2)
+    trace = clairaut_trace(surf, sol.c * a, t_max)
     _check_resolved(trace, tol["shoot_tol"], "the glued spheroid-band surface")
     if trace.turning_times.size == 0:
         raise SolverError(

@@ -328,18 +328,6 @@ def _turning_latitude(prof, c, u2, end):
                   rtol=4.0 * np.finfo(float).eps)
 
 
-def _chebyshev_rows(y, n):
-    """T_0(y) .. T_{n-1}(y) as the rows of an (n, len(y)) array."""
-    rows = np.empty((n, y.size))
-    rows[0] = 1.0
-    rows[1] = y
-    y2 = 2.0 * y
-    for j in range(2, n):
-        np.multiply(y2, rows[j - 1], out=rows[j])
-        rows[j] -= rows[j - 2]
-    return rows
-
-
 def _series_tail(coef):
     """Largest of the last three coefficients relative to the largest one."""
     coef = np.abs(coef)
@@ -369,17 +357,17 @@ class _ClairautSolution:
     series in the time within a half-oscillation.  Every other
     half-oscillation is the mirror image of the first, shifted in u1 by the
     advance, so the whole geodesic follows from the three series; u1' is
-    c / h(u2)^2 exactly.  Time 0 is the start latitude u2, moving upward.
+    c / h(u2)^2 exactly.  Time 0 is latitude 0, moving upward.
     """
 
-    def __init__(self, profile, c, u2):
+    def __init__(self, profile, c):
         self.profile = profile
         self.c = c
         cabs = abs(c)
-        if not profile.h(u2) > cabs:
-            raise ValueError(f"Clairaut constant {c} unreachable at u2={u2}")
-        a = _turning_latitude(profile, cabs, u2, profile.t_min)
-        b = _turning_latitude(profile, cabs, u2, profile.t_max)
+        if not profile.h(0.0) > cabs:
+            raise ValueError(f"Clairaut constant {c} unreachable at u2=0")
+        a = _turning_latitude(profile, cabs, 0.0, profile.t_min)
+        b = _turning_latitude(profile, cabs, 0.0, profile.t_max)
         if any(a < br < b for br in profile.interior_breaks()):
             raise ValueError(f"a profile join lies between the turning latitudes "
                              f"{a} and {b}")
@@ -415,44 +403,55 @@ class _ClairautSolution:
 
         # x at the Chebyshev points in time, by Newton on the time series
         sigma = 0.5 * T * (1.0 + _CHEB_X)
-        tau = int_t @ _chebyshev_rows(_CHEB_X, _CHEB_DEG + 2)
+        tau = int_t @ chebyshev.chebvander(_CHEB_X, _CHEB_DEG + 1).T
         x = np.interp(sigma, tau[::-1], _CHEB_X[::-1])
         for _ in range(_NEWTON_STEPS):
-            rows = _chebyshev_rows(x, _CHEB_DEG + 2)
+            rows = chebyshev.chebvander(x, _CHEB_DEG + 1).T
             x -= (int_t @ rows - sigma) / (c_t @ rows[:-1])
             np.clip(x, -1.0, 1.0, out=x)
         x[0], x[-1] = 1.0, -1.0
-        c_u1_t = _CHEB_FIT @ (int_u1 @ _chebyshev_rows(x, _CHEB_DEG + 2))
+        c_u1_t = _CHEB_FIT @ (int_u1 @ chebyshev.chebvander(x, _CHEB_DEG + 1).T)
         c_u2_t = _CHEB_FIT @ (m + r * np.sin(0.5 * math.pi * x))
         c_du2_t = np.zeros_like(c_u2_t)
         c_du2_t[:-1] = chebyshev.chebder(c_u2_t) * (2.0 / T)
         self.coef = np.stack([c_u1_t, c_u2_t, c_du2_t])
         self.tail = max(_series_tail(v) for v in (c_t, c_u1, c_u1_t, c_u2_t))
 
-        # time 0 is the start latitude on the way up, where u1 = 0
-        x0 = 2.0 / math.pi * math.asin(max(-1.0, min(1.0, (u2 - m) / r)))
-        self.t_shift = float(int_t @ _chebyshev_rows(np.array([x0]), _CHEB_DEG + 2)[:, 0])
-        self.u1_shift = self._series_scalar(self.t_shift)[0]
+        # time 0 is latitude 0 on the way up, where u1 = 0.  Each series is
+        # evaluated as its start value plus coef @ (T_j(y) - T_j(y0)), whose
+        # Chebyshev values are computed as the evaluator computes them, so
+        # the scalar and the array evaluation give clairaut_state exactly at
+        # t = 0
+        x0 = 2.0 / math.pi * math.asin(max(-1.0, min(1.0, -m / r)))
+        self.t_shift = float(chebyshev.chebval(x0, int_t))
+        y0 = 2.0 * self.t_shift / T - 1.0
+        self._start_cos = np.cos(_CHEB_J * math.acos(y0))
+        self._start_rows = chebyshev.chebvander(y0, _CHEB_DEG)[0]
+        h0, gam0 = map(float, profile.metric_factors(0.0))
+        self._start = np.array([0.0, 0.0, math.sqrt(1.0 - c * c / (h0 * h0)) / gam0])
+        # u1 on a mirrored half is k * advance + mirror - (u1 of the first half)
+        self._mirror = self.half_advance - 2.0 * float(c_u1_t @ self._start_rows)
 
     @property
     def first_turn(self):
         """Time of the first arrival at the upper turning latitude."""
         return self.half_period - self.t_shift
 
-    def _series_scalar(self, sigma):
-        """[u1, u2, u2'] of the first half-oscillation at its time sigma."""
-        y = min(1.0, max(-1.0, 2.0 * sigma / self.half_period - 1.0))
-        return (self.coef @ np.cos(_CHEB_J * math.acos(y))).tolist()
-
     def _eval_scalar(self, t):
         T = self.half_period
         s = t + self.t_shift
         k = math.floor(s / T)
+        sigma = s - k * T
         odd = k % 2 == 1
-        u1, u2, du2 = self._series_scalar(T - (s - k * T) if odd else s - k * T)
-        u1 = (k + 1) * self.half_advance - u1 if odd else k * self.half_advance + u1
+        if odd:
+            sigma = T - sigma
+        y = min(1.0, max(-1.0, 2.0 * sigma / T - 1.0))
+        u1, u2, du2 = (self._start + self.coef @ (
+            np.cos(_CHEB_J * math.acos(y)) - self._start_cos)).tolist()
+        u1 = (k * self.half_advance + self._mirror - u1 if odd
+              else k * self.half_advance + u1)
         h = self.profile.h(u2)
-        return np.array([u1 - self.u1_shift, u2, self.c / (h * h), -du2 if odd else du2])
+        return np.array([u1, u2, self.c / (h * h), -du2 if odd else du2])
 
     def __call__(self, t):
         if np.ndim(t) == 0:
@@ -463,32 +462,34 @@ class _ClairautSolution:
         odd = (k.astype(np.int64) & 1).astype(bool)
         sigma = s - k * T
         sigma[odd] = T - sigma[odd]
-        y = np.clip((2.0 / T) * sigma - 1.0, -1.0, 1.0)
+        y = np.clip(2.0 * sigma / T - 1.0, -1.0, 1.0)
         v = np.empty((3, y.size))
         for lo in range(0, y.size, _EVAL_BLOCK):
             hi = lo + _EVAL_BLOCK
-            v[:, lo:hi] = self.coef @ _chebyshev_rows(y[lo:hi], _CHEB_DEG + 1)
+            rows = chebyshev.chebvander(y[lo:hi], _CHEB_DEG).T
+            v[:, lo:hi] = self.coef @ (rows - self._start_rows[:, None])
+        v += self._start[:, None]
         u1 = k * self.half_advance + v[0]
-        u1[odd] = (k[odd] + 1.0) * self.half_advance - v[0, odd]
+        u1[odd] = k[odd] * self.half_advance + self._mirror - v[0, odd]
         v[2, odd] *= -1.0
         h = self.profile.h(v[1])
-        return np.stack([u1 - self.u1_shift, v[1], self.c / (h * h), v[2]])
+        return np.stack([u1, v[1], self.c / (h * h), v[2]])
 
 
-def clairaut_trace(surface, c, t_end, u2=0.0):
+def clairaut_trace(surface, c, t_end):
     """The unit-speed geodesic with Clairaut constant c, from the quadrature.
 
-    The geodesic starts at latitude u2 moving upward (the state
-    ``clairaut_state(surface, c, u2)``) and is evaluated by
+    The geodesic starts at latitude 0 moving upward (the state
+    ``clairaut_state(surface, c)``) and is evaluated by
     ``_ClairautSolution`` at any time; ``ts`` samples [0, t_end] at
     ``_SAMPLES_PER_HALF`` points per half-oscillation and ``turning_times``
     lists the latitude turning times in [0, t_end].  ``meta["series_tail"]``
     is the worst relative tail of the series, a measure of their accuracy.
-    Raises ValueError when c is not reached inside u2, when a turning
+    Raises ValueError when c is not reached at latitude 0, when a turning
     latitude is degenerate (h' = 0) or when a profile join lies between the
     turning latitudes.  Parallels and meridians are shot instead.
     """
-    sol = _ClairautSolution(surface.profile, float(c), float(u2))
+    sol = _ClairautSolution(surface.profile, float(c))
     T = sol.half_period
     t_end = float(t_end)
     ts = np.linspace(0.0, t_end, math.ceil(_SAMPLES_PER_HALF * t_end / T) + 1)

@@ -3,7 +3,10 @@
 The geodesic trace is rasterized onto a grid over the (u1 mod 2 pi, u2)
 parameter rectangle (seam-aware, poles as ordinary rows); the complement is
 labeled by 4-connected flood fill, which is leak-free because consecutive
-blocked cells are 8-neighbors.  Cells crossed by the trace are redistributed
+blocked cells are 8-neighbors.  Each sample is binned a millionth of a step
+inside the steps on either side of it, so a sample on a grid vertex, where
+the exact geodesic may pass, blocks only cells the curve enters whichever
+way rounding moves it.  Cells crossed by the trace are redistributed
 to their adjacent regions by supersampling and an exact side-of-segment
 test, which keeps per-region curvature integrals accurate to well below the
 grid scale.  Corner angles at the self-intersections are assigned to the
@@ -68,6 +71,7 @@ DEFAULT_GRID = (2048, 1024)
 ANGLE_TOL = 1e-6
 _CHUNK = 1 << 18  # elements per chunk of array work; bounds the temporaries
 _N_RASTER = 32768  # trace samples, raised when a step spans most of a cell
+_NUDGE = 1e-6  # fraction of a step by which its ends are binned inside it
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
@@ -183,13 +187,17 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16):
         ts, (u1s, u2s), (u1e, u2e) = sample(
             int(_N_RASTER * max_step / (0.5 * min(du1, du2))))
 
-    ix = np.floor(np.mod(u1s, 2.0 * math.pi) / du1).astype(np.int64) % nx
-    iy = np.clip(np.floor((u2s - lo) / du2).astype(np.int64), 0, ny - 1)
+    # each step's ends are binned a hair inside the step (module docstring)
+    nu1, nu2 = _NUDGE * (u1e - u1s), _NUDGE * (u2e - u2s)
 
+    def cells(u1, u2):
+        return (np.clip(np.floor((u2 - lo) / du2).astype(np.int64), 0, ny - 1),
+                np.floor(np.mod(u1, 2.0 * math.pi) / du1).astype(np.int64) % nx)
+
+    iy, ix = cells(u1s + nu1, u2s + nu2)
+    iy_e, ix_e = cells(u1e - nu1, u2e - nu2)
     blocked = np.zeros((ny, nx), dtype=bool)
     blocked[iy, ix] = True
-    ix_e = np.floor(np.mod(u1e, 2.0 * math.pi) / du1).astype(np.int64) % nx
-    iy_e = np.clip(np.floor((u2e - lo) / du2).astype(np.int64), 0, ny - 1)
     blocked[iy_e, ix_e] = True
 
     labels, m = _label_with_seam(blocked)

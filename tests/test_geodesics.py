@@ -288,11 +288,11 @@ class TestClairautTrace:
         surf = build_glued_family(
             GluedFamilyConfig(a=a, neck_kind="spheroid-band", b=sol.b))
         t_max = 4.0 * (N + 1) * math.pi / (2.0 * sol.c) * a * 1.05
-        tr = clairaut_trace(surf, sol.c * a, t_max, u2=surf.neck_u2)
+        tr = clairaut_trace(surf, sol.c * a, t_max)
         T = 4.0 * float(tr.turning_times[0])
         assert closure_check(tr, 1e-6, t_candidate=T) is not None
         assert len(detect_self_intersections(tr)) == N
-        shot = shoot(surf, clairaut_state(surf, sol.c * a, u2=surf.neck_u2), T)
+        shot = shoot(surf, clairaut_state(surf, sol.c * a), T)
         assert _position_gap(tr, shot, T) < 1e-12
 
     def test_band_over_a_profile_join_raises(self):
@@ -301,16 +301,16 @@ class TestClairautTrace:
         surf = build_glued_family(
             GluedFamilyConfig(a=a, neck_kind="spheroid-band", b=4.0))
         with pytest.raises(ValueError, match="profile join"):
-            clairaut_trace(surf, a * math.cos(0.02), 1.0, u2=surf.neck_u2)
+            clairaut_trace(surf, a * math.cos(0.02), 1.0)
 
     def test_starts_at_the_clairaut_state(self, case_n3_e02):
+        # both the scalar and the array evaluation pin time 0 to the state
         sol, surf, tr = case_n3_e02
-        y0 = tr.eval(0.0)
         init = clairaut_state(surf, sol.c)
-        assert y0[0] == 0.0
-        assert abs(y0[1] - init.u2) < 1e-15
-        assert abs(y0[2] - init.du1) < 1e-15
-        assert abs(y0[3] - init.du2) < 1e-13
+        expected = [init.u1, init.u2, init.du1, init.du2]
+        assert tr.eval(0.0).tolist() == expected
+        assert tr.eval(np.array([0.0, 1.0]))[:, 0].tolist() == expected
+        assert tr.ys[:, 0].tolist() == expected
 
     def test_dip_between_the_brackets_raises(self):
         # a narrow waist at t = 0.9 where h falls to 0.12 lies inside the

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import sys
@@ -165,6 +166,26 @@ class TestSolvedCase:
         deco = regions[0].decomposition
         expect = min(min(c.angle, math.pi - c.angle) for c in tr.crossings)
         assert deco.xi == pytest.approx(expect, abs=0)
+
+
+    @pytest.mark.parametrize("shift", [(1e-12, -1e-12), (-1e-12, 1e-12)])
+    def test_vertex_samples_block_cells_the_curve_enters(self, case_n4_e02, shift):
+        # the N = 4 geodesic meets u2 = 0 at the grid vertices u1 = 0 and pi
+        # and does not cross itself there; moved off them by 1e-12 toward the
+        # cells beside its path, the raster must still block the same cells
+        _, surf, tr = case_n4_e02
+        offset = np.array([shift[0], shift[1], 0.0, 0.0])
+
+        def sol(t):
+            y = tr.sol(t)
+            return y + (offset if y.ndim == 1 else offset[:, None])
+
+        regions = decompose_regions(surf, tr, grid=GRID, subsample=8)
+        moved = decompose_regions(surf, dataclasses.replace(tr, sol=sol),
+                                  grid=GRID, subsample=8)
+        blocked = regions[0].decomposition.blocked
+        assert np.array_equal(moved[0].decomposition.blocked, blocked)
+        assert [int(r.mask.sum()) for r in moved] == [int(r.mask.sum()) for r in regions]
 
 
 class TestErrors:
