@@ -417,41 +417,38 @@ class _ClairautSolution:
         self.coef = np.stack([c_u1_t, c_u2_t, c_du2_t])
         self.tail = max(_series_tail(v) for v in (c_t, c_u1, c_u1_t, c_u2_t))
 
-        # time 0 is latitude 0 on the way up, where u1 = 0.  Each series is
-        # evaluated as its start value plus coef @ (T_j(y) - T_j(y0)), whose
-        # Chebyshev values are computed as the evaluator computes them, so
-        # the scalar and the array evaluation give clairaut_state exactly at
-        # t = 0
+        # time 0 is latitude 0 on the way up, where u1 = 0.  Both evaluators
+        # give the start state (clairaut_state) at the start's y exactly,
+        # in place of the series' value there, which is off by rounding
         x0 = 2.0 / math.pi * math.asin(max(-1.0, min(1.0, -m / r)))
         self.t_shift = float(chebyshev.chebval(x0, int_t))
-        y0 = 2.0 * self.t_shift / T - 1.0
-        self._start_cos = np.cos(_CHEB_J * math.acos(y0))
-        self._start_rows = chebyshev.chebvander(y0, _CHEB_DEG)[0]
+        self._y0 = 2.0 * self.t_shift / T - 1.0
+        self.u1_shift = float(chebyshev.chebval(self._y0, c_u1_t))
         h0, gam0 = map(float, profile.metric_factors(0.0))
-        self._start = np.array([0.0, 0.0, math.sqrt(1.0 - c * c / (h0 * h0)) / gam0])
-        # u1 on a mirrored half is k * advance + mirror - (u1 of the first half)
-        self._mirror = self.half_advance - 2.0 * float(c_u1_t @ self._start_rows)
+        self._start = np.array(
+            [self.u1_shift, 0.0, math.sqrt(1.0 - c * c / (h0 * h0)) / gam0])
 
     @property
     def first_turn(self):
         """Time of the first arrival at the upper turning latitude."""
         return self.half_period - self.t_shift
 
+    def _series_scalar(self, sigma):
+        """[u1, u2, u2'] of the first half-oscillation at its time sigma."""
+        y = min(1.0, max(-1.0, 2.0 * sigma / self.half_period - 1.0))
+        if y == self._y0:
+            return self._start.tolist()
+        return (self.coef @ np.cos(_CHEB_J * math.acos(y))).tolist()
+
     def _eval_scalar(self, t):
         T = self.half_period
         s = t + self.t_shift
         k = math.floor(s / T)
-        sigma = s - k * T
         odd = k % 2 == 1
-        if odd:
-            sigma = T - sigma
-        y = min(1.0, max(-1.0, 2.0 * sigma / T - 1.0))
-        u1, u2, du2 = (self._start + self.coef @ (
-            np.cos(_CHEB_J * math.acos(y)) - self._start_cos)).tolist()
-        u1 = (k * self.half_advance + self._mirror - u1 if odd
-              else k * self.half_advance + u1)
+        u1, u2, du2 = self._series_scalar(T - (s - k * T) if odd else s - k * T)
+        u1 = (k + 1) * self.half_advance - u1 if odd else k * self.half_advance + u1
         h = self.profile.h(u2)
-        return np.array([u1, u2, self.c / (h * h), -du2 if odd else du2])
+        return np.array([u1 - self.u1_shift, u2, self.c / (h * h), -du2 if odd else du2])
 
     def __call__(self, t):
         if np.ndim(t) == 0:
@@ -466,14 +463,13 @@ class _ClairautSolution:
         v = np.empty((3, y.size))
         for lo in range(0, y.size, _EVAL_BLOCK):
             hi = lo + _EVAL_BLOCK
-            rows = chebyshev.chebvander(y[lo:hi], _CHEB_DEG).T
-            v[:, lo:hi] = self.coef @ (rows - self._start_rows[:, None])
-        v += self._start[:, None]
+            v[:, lo:hi] = self.coef @ chebyshev.chebvander(y[lo:hi], _CHEB_DEG).T
+        v[:, y == self._y0] = self._start[:, None]
         u1 = k * self.half_advance + v[0]
-        u1[odd] = k[odd] * self.half_advance + self._mirror - v[0, odd]
+        u1[odd] = (k[odd] + 1.0) * self.half_advance - v[0, odd]
         v[2, odd] *= -1.0
         h = self.profile.h(v[1])
-        return np.stack([u1, v[1], self.c / (h * h), v[2]])
+        return np.stack([u1 - self.u1_shift, v[1], self.c / (h * h), v[2]])
 
 
 def clairaut_trace(surface, c, t_end):
