@@ -167,7 +167,6 @@ class TestSolvedCase:
         expect = min(min(c.angle, math.pi - c.angle) for c in tr.crossings)
         assert deco.xi == pytest.approx(expect, abs=0)
 
-
     @pytest.mark.parametrize("shift", [(1e-12, -1e-12), (-1e-12, 1e-12)])
     def test_vertex_samples_block_cells_the_curve_enters(self, case_n4_e02, shift):
         # the N = 4 geodesic meets u2 = 0 at the grid vertices u1 = 0 and pi
