@@ -72,7 +72,7 @@ class PatchSpec:
         pole_lo, pole_hi = surface.closed_at_poles
         self.caps_lo = pole_lo and abs(self.u2_lo - lo) < 1e-12
         self.caps_hi = pole_hi and abs(self.u2_hi - hi) < 1e-12
-        self._diameter_cache = {}
+        self._diameter = None
 
     @property
     def boundary_u2(self):
@@ -94,26 +94,17 @@ class PatchSpec:
     def area_and_willmore(self, spec=None):
         return self.surface.area_and_willmore((self.u2_lo, self.u2_hi), spec)
 
-    def diameter(self, samples=4096):
-        if samples not in self._diameter_cache:
-            self._diameter_cache[samples] = self.surface.diameter_of(
-                (self.u2_lo, self.u2_hi), samples
-            )
-        return self._diameter_cache[samples]
-
-    def boundary_points(self, n=4096):
-        pts = []
-        for v in self.boundary_u2:
-            u1 = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-            pts.append(self.surface.point(u1, float(v)))
-        return np.concatenate(pts, axis=0)
+    def diameter(self):
+        if self._diameter is None:
+            self._diameter = self.surface.diameter_of((self.u2_lo, self.u2_hi))
+        return self._diameter
 
 
-def diameter_bound_audit(patch, spec=None, tol=DEFAULT_AUDIT_TOL, samples=4096):
+def diameter_bound_audit(patch, spec=None, tol=DEFAULT_AUDIT_TOL):
     """diam f(D) >= 2 A / (L(boundary) + 2 sqrt(W A))."""
     A, W = patch.area_and_willmore(spec)
     L = patch.boundary_length()
-    diam = patch.diameter(samples)
+    diam = patch.diameter()
     rhs = 2.0 * A / (L + 2.0 * math.sqrt(max(W, 0.0) * A))
     return AuditReport(
         name="diameter-lower-bound",

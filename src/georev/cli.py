@@ -253,8 +253,7 @@ def _run_glued(params, tol, outdir, rng, timestamp):
 def _run_tiling(params, tol, outdir, rng, timestamp):
     N = int(params.get("N", 3))
     eps = float(params.get("eps", 0.2))
-    grid_txt = str(params.get("grid", "2048x1024"))
-    nx, ny = (int(v) for v in grid_txt.lower().split("x"))
+    nx, ny = _parse_grid(params.get("grid", "2048x1024"))
     subsample = int(params.get("subsample", 16))
     sol, surf, trace = solve_for_geodesic(
         N, eps, shoot_tol=tol["shoot_tol"], closure_tol=tol["closure_tol"]
@@ -596,6 +595,17 @@ def _build_parser():
     return p
 
 
+def _parse_grid(txt):
+    """(nx, ny) from '<nx>x<ny>', both at least 1."""
+    try:
+        nx, ny = (int(v) for v in str(txt).lower().split("x"))
+    except ValueError:
+        nx = ny = 0
+    if nx < 1 or ny < 1:
+        raise ConfigError(f"grid must be <int>x<int>, both >= 1, got {txt!r}")
+    return nx, ny
+
+
 def _resolve_params(args):
     command = args.command
     params = {}
@@ -616,6 +626,16 @@ def _resolve_params(args):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
+    for key in ("subsample", "count"):
+        if key in params:
+            try:
+                n = int(params[key])
+            except (TypeError, ValueError):
+                n = 0
+            if n < 1:
+                raise ConfigError(f"{key} must be an integer >= 1, got {params[key]!r}")
+    if "grid" in params:
+        _parse_grid(params["grid"])
     return params
 
 

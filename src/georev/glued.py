@@ -45,7 +45,6 @@ __all__ = [
     "GluedSurface",
     "ConstructionError",
     "build_glued_family",
-    "family_from_config",
     "parse_height_rule",
     "cylinder_family_closed_forms",
     "spheroid_band_cap_closed_forms",
@@ -72,8 +71,6 @@ class ConstructionError(RuntimeError):
 
 def parse_height_rule(rule):
     """Parse a cylinder-height rule like '2a', '2a^2', '1.5a^1.5' to (coeff, power)."""
-    if isinstance(rule, (tuple, list)) and len(rule) == 2:
-        return float(rule[0]), float(rule[1])
     m = _RULE_RE.match(str(rule).replace("a2", "a^2"))
     if not m:
         raise ValueError(f"cannot parse cylinder height rule {rule!r}")
@@ -88,11 +85,8 @@ class GluedFamilyConfig:
 
     a: float
     neck_kind: str = "cylinder"  # or "spheroid-band"
-    cylinder_height: object = "2a"  # rule string or (coeff, power)
-    bottom: str = "capped-unit-sphere-with-catenoid"  # or "spherical-cap"
-    top: str = "hemisphere"  # or "spherical-cap"
+    cylinder_height: str = "2a"  # rule, see parse_height_rule
     b: float | None = None  # spheroid-band elongation
-    band_half_width: float | None = None  # defaults to a
 
     def __post_init__(self):
         if self.a <= 0.0:
@@ -112,27 +106,13 @@ class GluedFamilyConfig:
             "kind": self.neck_kind,
             "a": self.a,
             "cylinder_height_rule": {"coeff": coeff, "power": power},
-            "caps": {"bottom": self.bottom, "top": self.top},
+            # the one cap pair and band half-width (a) there are, printed
+            # in summary.json
+            "caps": {"bottom": "capped-unit-sphere-with-catenoid",
+                     "top": "hemisphere"},
             "b": self.b,
-            "band_half_width": self.band_half_width,
+            "band_half_width": None,
         }
-
-
-def family_from_config(cfg_dict):
-    rule = cfg_dict.get("cylinder_height_rule", "2a")
-    if isinstance(rule, dict):
-        rule = (rule["coeff"], rule["power"])
-    caps = cfg_dict.get("caps", {})
-    cfg = GluedFamilyConfig(
-        a=float(cfg_dict["a"]),
-        neck_kind=cfg_dict.get("kind", "cylinder"),
-        cylinder_height=rule,
-        bottom=caps.get("bottom", "capped-unit-sphere-with-catenoid"),
-        top=caps.get("top", "hemisphere"),
-        b=cfg_dict.get("b"),
-        band_half_width=cfg_dict.get("band_half_width"),
-    )
-    return build_glued_family(cfg)
 
 
 class GluedSurface(RevolutionSurface):
@@ -158,10 +138,6 @@ class GluedSurface(RevolutionSurface):
             out.append((seg.label, A, W))
         return out
 
-    def config(self):
-        return {"family": self.cfg.to_dict(), "joins": self.joins,
-                "neck_range": list(self.neck_range)}
-
 
 def _shift_segment(seg, delta, label=None):
     """Reparametrize a segment by t -> t - delta (same geometry)."""
@@ -170,7 +146,6 @@ def _shift_segment(seg, delta, label=None):
         seg.t_hi + delta,
         lambda t, _jet=seg.jet: _jet(np.asarray(t, dtype=float) - delta),
         label=label or seg.label,
-        config={**seg.config, "param_shift": delta},
     )
 
 
@@ -217,52 +192,35 @@ def _build_cylinder_family(cfg):
 def _cylinder_family_profile(cfg, H):
     """(profile, joins, neck range) of the cylinder family at height H."""
     a = cfg.a
-    segs = []
-    joins = {}
-    if cfg.bottom == "capped-unit-sphere-with-catenoid":
-        phi, tau, res = _solve_sphere_catenoid_tangency(a)
-        t_a = a * tau
-        z_sph = math.sin(phi)
-        joins.update(
-            {
-                "phi_cut": phi,
-                "tau": tau,
-                "s_a": 1.0 - z_sph,
-                "t_a": t_a,
-                "tangency_residual": res,
-            }
-        )
-        segs.append(sphere_profile(1.0, 0.0, -math.pi / 2, phi))
-        cat = catenoid_profile(a, -t_a, 0.0, z_offset=z_sph + t_a)
-        segs.append(_shift_segment(cat, phi + t_a))
-        z1 = z_sph + t_a
-        neck_lo = phi + t_a
-    elif cfg.bottom == "spherical-cap":
-        # radius-a hemisphere below the cylinder
-        segs.append(cap_profile(a, 0.0, -math.pi / 2, 0.0))
-        z1 = 0.0
-        neck_lo = 0.0
-    else:
-        raise ConstructionError(f"unsupported bottom {cfg.bottom!r} for cylinder neck")
-
-    cyl = cylinder_profile(a, z1, z1 + H)
-    segs.append(_shift_segment(cyl, neck_lo - z1))
+    phi, tau, res = _solve_sphere_catenoid_tangency(a)
+    t_a = a * tau
+    z_sph = math.sin(phi)
+    joins = {
+        "phi_cut": phi,
+        "tau": tau,
+        "s_a": 1.0 - z_sph,
+        "t_a": t_a,
+        "tangency_residual": res,
+    }
+    z1 = z_sph + t_a
+    neck_lo = phi + t_a
     neck_hi = neck_lo + H
-
-    if cfg.top in ("hemisphere", "spherical-cap"):
-        top = cap_profile(a, z1 + H, 0.0, math.pi / 2)
-        top = replace(top, label="hemisphere")
-        segs.append(_shift_segment(top, neck_hi))
-    else:
-        raise ConstructionError(f"unsupported top {cfg.top!r} for cylinder neck")
-
+    cat = catenoid_profile(a, -t_a, 0.0, z_offset=z1)
+    cyl = cylinder_profile(a, z1, z1 + H)
+    top = replace(cap_profile(a, z1 + H, 0.0, math.pi / 2), label="hemisphere")
+    segs = [
+        sphere_profile(1.0, 0.0, -math.pi / 2, phi),
+        _shift_segment(cat, neck_lo),
+        _shift_segment(cyl, neck_lo - z1),
+        _shift_segment(top, neck_hi),
+    ]
     return ProfileCurve(segs), joins, (neck_lo, neck_hi)
 
 
 def _build_spheroid_band_family(cfg):
     a, b = cfg.a, float(cfg.b)
-    w = cfg.band_half_width if cfg.band_half_width is not None else a
-    if not 0.0 < w < math.pi / 2:
+    w = a  # band half-width
+    if not w < math.pi / 2:
         raise ConstructionError(f"band half-width {w} out of range")
     # join data at t = +w (bottom mirrored by symmetry; g is odd)
     h_j = a * math.cos(w)
@@ -324,17 +282,12 @@ def cylinder_family_closed_forms(cfg: GluedFamilyConfig):
     """
     a = cfg.a
     H = cfg.height()
-    out = {}
-    if cfg.bottom == "capped-unit-sphere-with-catenoid":
-        tau = math.acosh(1.0 / math.sqrt(a))
-        z_cut = math.sqrt(1.0 - a)
-        out["sphere"] = (2.0 * math.pi * (1.0 + z_cut), 2.0 * math.pi * (1.0 + z_cut))
-        out["catenoid"] = (
-            math.pi * a * a * (tau + math.sinh(tau) * math.cosh(tau)),
-            0.0,
-        )
-    else:
-        out["cap"] = (2.0 * math.pi * a * a, 2.0 * math.pi)
+    tau = math.acosh(1.0 / math.sqrt(a))
+    z_cut = math.sqrt(1.0 - a)
+    out = {
+        "sphere": (2.0 * math.pi * (1.0 + z_cut), 2.0 * math.pi * (1.0 + z_cut)),
+        "catenoid": (math.pi * a * a * (tau + math.sinh(tau) * math.cosh(tau)), 0.0),
+    }
     out["cylinder"] = (2.0 * math.pi * a * H, math.pi * H / (2.0 * a))
     out["hemisphere"] = (2.0 * math.pi * a * a, 2.0 * math.pi)
     total_A = sum(v[0] for v in out.values())
@@ -346,7 +299,7 @@ def cylinder_family_closed_forms(cfg: GluedFamilyConfig):
 def spheroid_band_cap_closed_forms(cfg: GluedFamilyConfig):
     """Exact (area, willmore) of each spherical cap of the band family."""
     a, b = cfg.a, float(cfg.b)
-    w = cfg.band_half_width if cfg.band_half_width is not None else a
+    w = a  # band half-width
     h_j = a * math.cos(w)
     slope = math.tan(w) / b
     R = h_j * math.sqrt(1.0 + slope * slope)

@@ -16,20 +16,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .numerics import QuadratureSpec, integrate_1d
-from .report import write_csv
 
 __all__ = [
     "ProfileSegment",
     "ProfileCurve",
     "RevolutionSurface",
     "PoleError",
-    "CurvatureData",
     "sphere_profile",
     "cap_profile",
     "cylinder_profile",
@@ -37,7 +35,6 @@ __all__ = [
     "spheroid_profile",
     "paraboloid_profile",
     "dumbbell_profile",
-    "profile_from_config",
     "unit_sphere",
     "spheroid_surface",
 ]
@@ -49,7 +46,7 @@ _H, _G, _DH, _DG, _D2H, _D2G = range(6)
 
 
 class PoleError(ValueError):
-    """Curvature requested at a pole where the profile does not cap off orthogonally."""
+    """A closed end where the profile does not meet the axis orthogonally."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,6 @@ class ProfileSegment:
     t_hi: float
     jet: Callable
     label: str = ""
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.t_lo < self.t_hi:
@@ -201,18 +197,6 @@ class ProfileCurve:
     def interior_breaks(self):
         return [float(b) for b in self.breaks[1:-1]]
 
-    def config(self):
-        return {"segments": [dict(s.config) for s in self.segments]}
-
-
-@dataclass
-class CurvatureData:
-    K: float
-    abs_H: float
-    kappa_meridian: float
-    kappa_parallel: float
-    at_join: bool = False
-
 
 class RevolutionSurface:
     """Immutable surface of revolution with metric, curvature, and energy helpers."""
@@ -223,6 +207,15 @@ class RevolutionSurface:
         h_lo = float(profile.h(profile.t_min))
         h_hi = float(profile.h(profile.t_max))
         self.closed_at_poles = (abs(h_lo) < 1e-9, abs(h_hi) < 1e-9)
+        # the pole limit of the parallel curvature exists iff the profile
+        # meets the axis orthogonally (g' -> 0 there)
+        for t, closed in zip((profile.t_min, profile.t_max), self.closed_at_poles):
+            if closed:
+                dh, dg = profile._eval((_DH, _DG), t)
+                if abs(dg) > 1e-6 * math.hypot(dh, dg):
+                    raise PoleError(
+                        f"profile does not meet the axis orthogonally at t={t}"
+                    )
 
     # -- basic geometry ----------------------------------------------------
 
@@ -248,33 +241,6 @@ class RevolutionSurface:
             raise ValueError(f"u2={u2} outside profile domain [{lo}, {hi}]")
         h, gam = map(float, self.profile.metric_factors(u2))
         return (h * h, 0.0, gam * gam)
-
-    def curvatures_at(self, u2) -> CurvatureData:
-        """Gauss curvature, |H| (sum of principal curvatures), and both curvatures.
-
-        At an interior C^{1,1} join the one-sided values from the segment
-        that starts there are returned and flagged.
-        """
-        u2 = float(u2)
-        lo, hi = self.u2_range
-        if not lo <= u2 <= hi:
-            raise ValueError(f"u2={u2} outside profile domain [{lo}, {hi}]")
-        prof = self.profile
-        at_join = any(abs(u2 - b) < 1e-12 for b in prof.interior_breaks())
-        h, dh, d2h, dg, d2g = prof.jet(u2)
-        km, kp, gam = _principal_curvatures(h, dh, d2h, dg, d2g)
-        # the pole limit of the parallel curvature exists iff the profile
-        # meets the axis orthogonally (g' -> 0 there)
-        if abs(h) < _POLE_TOL and abs(dg) > 1e-6 * gam:
-            raise PoleError(f"profile does not meet the axis orthogonally at t={u2}")
-        km, kp = float(km), float(kp)
-        return CurvatureData(
-            K=km * kp,
-            abs_H=abs(km + kp),
-            kappa_meridian=km,
-            kappa_parallel=kp,
-            at_join=at_join,
-        )
 
     def curvature_grids(self, t):
         """Vectorized (K, H^2, h, gamma) on an array of profile parameters."""
@@ -395,33 +361,12 @@ class RevolutionSurface:
         if lam <= 0:
             raise ValueError("scale factor must be positive")
         segs = [
-            replace(s, jet=lambda t, _jet=s.jet: tuple(lam * v for v in _jet(t)),
-                    config={**s.config, "scaled_by": lam})
+            replace(s, jet=lambda t, _jet=s.jet: tuple(lam * v for v in _jet(t)))
             for s in self.profile.segments
         ]
         return RevolutionSurface(
             ProfileCurve(segs), name=name or f"{self.name}*{lam}"
         )
-
-    # -- export ---------------------------------------------------------------
-
-    def sample_grid(self, n_u1=64, n_u2=64):
-        """(u1, u2, x, y, z) rows sampling the surface on a regular grid."""
-        u1 = np.linspace(0.0, 2.0 * math.pi, n_u1, endpoint=False)
-        lo, hi = self.u2_range
-        u2 = np.linspace(lo, hi, n_u2)
-        rows = []
-        for v in u2:
-            h, z = self.profile.position(v)
-            for u in u1:
-                rows.append((float(u), float(v), h * math.cos(u), h * math.sin(u), z))
-        return rows
-
-    def export_csv(self, path, n_u1=64, n_u2=64):
-        write_csv(path, ["u1", "u2", "x", "y", "z"], self.sample_grid(n_u1, n_u2))
-
-    def config(self):
-        return {"name": self.name, "profile": self.profile.config()}
 
 
 def _principal_curvatures(h, dh, d2h, dg, d2g):
@@ -451,20 +396,13 @@ def sphere_profile(radius=1.0, center_z=0.0, phi_lo=-math.pi / 2, phi_hi=math.pi
         h, r_sin = R * np.cos(t), R * np.sin(t)
         return h, z0 + r_sin, -r_sin, h, -h, -r_sin
 
-    return ProfileSegment(
-        phi_lo,
-        phi_hi,
-        jet,
-        label="sphere",
-        config={"kind": "sphere", "radius": R, "center_z": z0,
-                "phi_lo": phi_lo, "phi_hi": phi_hi},
-    )
+    return ProfileSegment(phi_lo, phi_hi, jet, label="sphere")
 
 
 def cap_profile(radius, center_z, phi_lo, phi_hi=math.pi / 2):
     """Spherical cap (same parametrization as sphere_profile, partial range)."""
     seg = sphere_profile(radius, center_z, phi_lo, phi_hi)
-    return replace(seg, label="cap", config={**seg.config, "kind": "cap"})
+    return replace(seg, label="cap")
 
 
 def cylinder_profile(radius, z_lo, z_hi):
@@ -475,13 +413,7 @@ def cylinder_profile(radius, z_lo, z_hi):
         one, zero = np.ones_like(t), np.zeros_like(t)
         return a * one, t + 0.0, zero, one, zero, zero
 
-    return ProfileSegment(
-        z_lo,
-        z_hi,
-        jet,
-        label="cylinder",
-        config={"kind": "cylinder", "radius": a, "z_lo": z_lo, "z_hi": z_hi},
-    )
+    return ProfileSegment(z_lo, z_hi, jet, label="cylinder")
 
 
 def catenoid_profile(waist, t_lo, t_hi, z_offset=0.0):
@@ -494,14 +426,7 @@ def catenoid_profile(waist, t_lo, t_hi, z_offset=0.0):
         t = np.asarray(t, dtype=float)
         return a * cosh, t + z0, np.sinh(u), np.ones_like(t), cosh / a, np.zeros_like(t)
 
-    return ProfileSegment(
-        t_lo,
-        t_hi,
-        jet,
-        label="catenoid",
-        config={"kind": "catenoid", "waist": a, "t_lo": t_lo, "t_hi": t_hi,
-                "z_offset": z0},
-    )
+    return ProfileSegment(t_lo, t_hi, jet, label="catenoid")
 
 
 def spheroid_profile(b, scale=1.0, t_lo=-math.pi / 2, t_hi=math.pi / 2, z_offset=0.0):
@@ -514,14 +439,7 @@ def spheroid_profile(b, scale=1.0, t_lo=-math.pi / 2, t_hi=math.pi / 2, z_offset
         h, sb_sin = s * cos, sb * sin
         return h, z0 + sb_sin, -s * sin, sb * cos, -h, -sb_sin
 
-    return ProfileSegment(
-        t_lo,
-        t_hi,
-        jet,
-        label="spheroid",
-        config={"kind": "spheroid", "b": b, "scale": s, "t_lo": t_lo,
-                "t_hi": t_hi, "z_offset": z0},
-    )
+    return ProfileSegment(t_lo, t_hi, jet, label="spheroid")
 
 
 def paraboloid_profile(t_hi, coeff=0.5):
@@ -533,13 +451,7 @@ def paraboloid_profile(t_hi, coeff=0.5):
         one = np.ones_like(t)
         return t + 0.0, c * t ** 2, one, 2.0 * c * t, np.zeros_like(t), 2.0 * c * one
 
-    return ProfileSegment(
-        0.0,
-        t_hi,
-        jet,
-        label="paraboloid",
-        config={"kind": "paraboloid", "t_hi": t_hi, "coeff": c},
-    )
+    return ProfileSegment(0.0, t_hi, jet, label="paraboloid")
 
 
 def dumbbell_profile(half_width=0.8, neck_depth=0.6, neck_sigma=0.3):
@@ -553,45 +465,7 @@ def dumbbell_profile(half_width=0.8, neck_depth=0.6, neck_sigma=0.3):
         return (1.0 - d * bump, t + 0.0, d * t / s2 * bump, np.ones_like(t),
                 d / s2 * (1.0 - t ** 2 / s2) * bump, np.zeros_like(t))
 
-    return ProfileSegment(
-        -w,
-        w,
-        jet,
-        label="dumbbell",
-        config={"kind": "dumbbell", "half_width": w, "neck_depth": d,
-                "neck_sigma": math.sqrt(s2)},
-    )
-
-
-_PROFILE_BUILDERS = {
-    "sphere": lambda c: sphere_profile(c.get("radius", 1.0), c.get("center_z", 0.0),
-                                       c.get("phi_lo", -math.pi / 2),
-                                       c.get("phi_hi", math.pi / 2)),
-    "cap": lambda c: cap_profile(c["radius"], c.get("center_z", 0.0),
-                                 c["phi_lo"], c.get("phi_hi", math.pi / 2)),
-    "cylinder": lambda c: cylinder_profile(c["radius"], c["z_lo"], c["z_hi"]),
-    "catenoid": lambda c: catenoid_profile(c["waist"], c["t_lo"], c["t_hi"],
-                                           c.get("z_offset", 0.0)),
-    "spheroid": lambda c: spheroid_profile(c["b"], c.get("scale", 1.0),
-                                           c.get("t_lo", -math.pi / 2),
-                                           c.get("t_hi", math.pi / 2),
-                                           c.get("z_offset", 0.0)),
-    "paraboloid": lambda c: paraboloid_profile(c["t_hi"], c.get("coeff", 0.5)),
-    "dumbbell": lambda c: dumbbell_profile(c.get("half_width", 0.8),
-                                           c.get("neck_depth", 0.6),
-                                           c.get("neck_sigma", 0.3)),
-}
-
-
-def profile_from_config(cfg):
-    """Rebuild a ProfileCurve from its structured config (see ProfileCurve.config)."""
-    segs = []
-    for c in cfg["segments"]:
-        kind = c.get("kind")
-        if kind not in _PROFILE_BUILDERS:
-            raise ValueError(f"unknown profile segment kind {kind!r}")
-        segs.append(_PROFILE_BUILDERS[kind](c))
-    return ProfileCurve(segs)
+    return ProfileSegment(-w, w, jet, label="dumbbell")
 
 
 def unit_sphere():

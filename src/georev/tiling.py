@@ -9,8 +9,10 @@ the exact geodesic may pass, blocks only cells the curve enters whichever
 way rounding moves it.  Cells crossed by the trace are redistributed
 to their adjacent regions by supersampling and an exact side-of-segment
 test, which keeps per-region curvature integrals accurate to well below the
-grid scale.  Corner angles at the self-intersections are assigned to the
-incident regions by probing along the four sector bisectors.
+grid scale.  Corner angles at the self-intersections go to the regions
+of the four sectors there: each sector takes its region from the two arcs
+that bound it, whose left and right regions are probed at the arc
+midpoints, and the two arcs must agree.
 
 The redistribution is array code over all blocked cells at once.  Each
 cell's candidate segments (those with an end point in its 3x3
@@ -111,16 +113,11 @@ class Region:
     N_i: int
     boundary_length: float
     cell_count: int
-    boundary_arcs: list = field(default_factory=list)  # arc ids in trace order
     decomposition: object = field(repr=False, default=None)
 
     @property
     def mask(self):
         return self.decomposition.labels == self.id + 1
-
-    def boundary_segments(self):
-        """(t_start, t_end) of the geodesic arcs bordering this region."""
-        return [self.decomposition.arcs[k] for k in self.boundary_arcs]
 
     def exterior_angle_sum(self):
         return sum(c.exterior for c in self.corners)
@@ -380,8 +377,6 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16):
                 N_i=n_i,
                 boundary_length=float(blen[i]),
                 cell_count=int(cells[i]),
-                boundary_arcs=[k for k, (la, ra) in enumerate(arc_sides)
-                               for side in (la, ra) if side == i],
                 decomposition=deco,
             )
         )

@@ -61,6 +61,26 @@ class TestConfigHandling:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,config,key", [
+        (["tiling", "--grid", "2048"], None, "grid"),
+        (["tiling", "--subsample", "0"], None, "subsample"),
+        (["tiling", "--subsample", "-2"], None, "subsample"),
+        (["audits", "--suite", "section2", "--count", "-3"], None, "count"),
+        (["tiling"], {"grid": "0x512"}, "grid"),
+    ])
+    def test_malformed_numbers_rejected(self, tmp_path, capsys, args, config, key):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = [*args, "--config", cfg]
+        out = tmp_path / "o"
+        rc = run([*args, "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"error: {key} must be" in err
+        assert not out.exists()
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"N": 3, "eps": 0.2}))

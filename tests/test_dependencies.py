@@ -1,6 +1,8 @@
-"""The package imports numpy, scipy and the standard library only."""
+"""The package imports numpy, scipy and the standard library only, and
+exports only names it defines."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -28,3 +30,13 @@ def test_only_numpy_scipy_and_stdlib():
         if name.partition(".")[0] not in ALLOWED
     ]
     assert not outside, outside
+
+
+def test_every_export_exists():
+    package = Path(georev.__file__).parent
+    modules = [georev] + [importlib.import_module(f"georev.{path.stem}")
+                          for path in sorted(package.glob("*.py"))
+                          if path.stem != "__init__"]
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, missing

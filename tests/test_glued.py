@@ -9,7 +9,6 @@ from georev.glued import (
     LITERAL_HEIGHT_NOTE,
     build_glued_family,
     cylinder_family_closed_forms,
-    family_from_config,
     parse_height_rule,
     spheroid_band_cap_closed_forms,
     _solve_sphere_catenoid_tangency,
@@ -24,7 +23,6 @@ class TestHeightRule:
         assert parse_height_rule("2a^2") == (2.0, 2.0)
         assert parse_height_rule("2a2") == (2.0, 2.0)
         assert parse_height_rule("1.5a^1.5") == (1.5, 1.5)
-        assert parse_height_rule((3.0, 2.0)) == (3.0, 2.0)
         with pytest.raises(ValueError):
             parse_height_rule("nonsense")
 
@@ -120,15 +118,6 @@ class TestCylinderFamily:
         with pytest.raises(ConstructionError):
             build_glued_family(GluedFamilyConfig(a=1.5))
 
-    def test_pill_variant(self):
-        # hemispherical bottom instead of the capped-sphere-with-catenoid
-        cfg = GluedFamilyConfig(a=0.3, bottom="spherical-cap")
-        surf = build_glued_family(cfg)
-        A, W = surf.area_and_willmore()
-        a, H = 0.3, 0.6
-        expect_W = 2.0 * math.pi + math.pi * H / (2.0 * a) + 2.0 * math.pi
-        assert W == pytest.approx(expect_W, abs=1e-8)
-
 
 @pytest.fixture(scope="module")
 def band():
@@ -164,9 +153,3 @@ class TestSpheroidBandFamily:
     def test_requires_b(self):
         with pytest.raises(ValueError):
             GluedFamilyConfig(a=0.01, neck_kind="spheroid-band")
-
-    def test_config_roundtrip(self, band):
-        cfg, surf, _ = band
-        clone = family_from_config(surf.config()["family"])
-        ts = np.linspace(*clone.u2_range, 64)
-        assert np.allclose(clone.profile.h(ts), surf.profile.h(ts), rtol=0, atol=0)

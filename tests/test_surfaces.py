@@ -14,7 +14,6 @@ from georev.surfaces import (
     cylinder_profile,
     dumbbell_profile,
     paraboloid_profile,
-    profile_from_config,
     sphere_profile,
     spheroid_profile,
     spheroid_surface,
@@ -68,38 +67,36 @@ class TestMetric:
 
 class TestCurvatures:
     def test_sphere(self, sphere):
-        for u2 in (-1.0, 0.0, 0.7):
-            cd = sphere.curvatures_at(u2)
-            assert abs(cd.K - 1.0) < 1e-12
-            assert abs(cd.abs_H - 2.0) < 1e-12
+        K, H2, _, _ = sphere.curvature_grids(np.array([-1.0, 0.0, 0.7]))
+        assert np.all(np.abs(K - 1.0) < 1e-12)
+        assert np.all(np.abs(np.sqrt(H2) - 2.0) < 1e-12)
 
     def test_cylinder(self, cylinder):
-        cd = cylinder.curvatures_at(1.0)
-        assert cd.K == 0.0
-        assert abs(cd.abs_H - 1.0 / 0.5) < 1e-14
-        assert abs(cd.kappa_parallel - 2.0) < 1e-14
-        assert cd.kappa_meridian == 0.0
+        # kappa_meridian = 0 and kappa_parallel = 1 / 0.5
+        K, H2, _, _ = cylinder.curvature_grids(np.array([1.0]))
+        assert K[0] == 0.0
+        assert abs(math.sqrt(H2[0]) - 1.0 / 0.5) < 1e-14
 
     def test_catenoid_minimal(self, catenoid):
-        for u2 in (-0.3, 0.0, 0.35):
-            cd = catenoid.curvatures_at(u2)
-            assert abs(cd.abs_H) < 1e-12
-            assert abs(cd.kappa_meridian + cd.kappa_parallel) < 1e-12
+        _, H2, _, _ = catenoid.curvature_grids(np.array([-0.3, 0.0, 0.35]))
+        assert np.all(np.sqrt(H2) < 1e-12)
 
     def test_pole_limit(self, sphere):
-        cd = sphere.curvatures_at(math.pi / 2.0)
-        assert abs(cd.K - 1.0) < 1e-9
+        K, _, _, _ = sphere.curvature_grids(np.array([math.pi / 2.0]))
+        assert abs(K[0] - 1.0) < 1e-9
 
     def test_pole_error_for_flat_cap(self):
         # 45-degree cone tip: profile meets the axis non-orthogonally
-        cone = RevolutionSurface(ProfileCurve([_cone_segment()]))
         with pytest.raises(PoleError):
-            cone.curvatures_at(0.0)
+            RevolutionSurface(ProfileCurve([_cone_segment()]))
 
-    def test_join_flag(self):
-        surf = _two_piece_sphere()
-        assert surf.curvatures_at(0.1).at_join is False
-        assert surf.curvatures_at(0.0).at_join is True
+    def test_open_end_with_slope_builds(self):
+        # only closed ends are checked: the cylinder's ends (g' = 1) and the
+        # paraboloid's rim (g' = 3) stay off the axis
+        cyl = RevolutionSurface(ProfileCurve([cylinder_profile(0.5, 0.0, 2.0)]))
+        assert cyl.closed_at_poles == (False, False)
+        bowl = RevolutionSurface(ProfileCurve([paraboloid_profile(1.5, coeff=1.0)]))
+        assert bowl.closed_at_poles == (True, False)
 
 
 def _cone_segment():
@@ -109,17 +106,6 @@ def _cone_segment():
         return t + 0.0, t + 0.0, one, one, zero, zero
 
     return ProfileSegment(0.0, 1.0, jet, label="cone")
-
-
-def _two_piece_sphere():
-    return RevolutionSurface(
-        ProfileCurve(
-            [
-                sphere_profile(1.0, 0.0, -math.pi / 2, 0.0),
-                sphere_profile(1.0, 0.0, 0.0, math.pi / 2),
-            ]
-        )
-    )
 
 
 class TestEnergies:
@@ -217,24 +203,10 @@ class TestProfilePlumbing:
                 ]
             )
 
-    def test_config_roundtrip(self):
-        surf = spheroid_surface(4.038)
-        prof = profile_from_config(surf.config()["profile"])
-        ts = np.linspace(-1.2, 1.2, 17)
-        assert np.allclose(prof.h(ts), surf.profile.h(ts), atol=0)
-        assert np.allclose(prof.g(ts), surf.profile.g(ts), atol=0)
-
     def test_dumbbell_neck(self):
         surf = RevolutionSurface(ProfileCurve([dumbbell_profile()]))
         assert abs(surf.profile.dh(0.0)) < 1e-15
         assert float(surf.profile.h(0.0)) == pytest.approx(0.4)
-
-    def test_csv_export(self, tmp_path, sphere):
-        path = tmp_path / "grid.csv"
-        sphere.export_csv(path, n_u1=8, n_u2=5)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "u1,u2,x,y,z"
-        assert len(lines) == 1 + 8 * 5
 
     def test_quadrature_spec_override(self, sphere):
         coarse = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6, level=6)
@@ -292,23 +264,6 @@ class TestJet:
                               (ph, prof.h(t)), (pg, prof.g(t))):
                 assert type(got) is type(want)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-    @pytest.mark.parametrize("name", ["unit-sphere", "glued-cylinder"])
-    def test_curvatures_at_equals_grids(self, name):
-        from georev.glued import GluedFamilyConfig, build_glued_family
-
-        surf = (unit_sphere() if name == "unit-sphere"
-                else build_glued_family(GluedFamilyConfig(a=0.1)))
-        lo, hi = surf.u2_range
-        ts = np.concatenate([np.linspace(lo, hi, 65), surf.profile.breaks])
-        K, H2, _, _ = surf.curvature_grids(ts)
-        for i, u in enumerate(ts):
-            cd = surf.curvatures_at(u)
-            # one formula on both routes, rounded identically
-            H = cd.kappa_meridian + cd.kappa_parallel
-            assert cd.K == K[i]
-            assert H * H == H2[i]
-            assert cd.abs_H == abs(H)
 
 
 def _masked_eval(prof, comps, t):

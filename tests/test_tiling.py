@@ -132,15 +132,16 @@ class TestSolvedCase:
         assert abs(total - 2.0 * sol.length) < 1e-3 * sol.length
 
     def test_boundary_segments(self, n3_tiling):
-        sol, _, _, regions = n3_tiling
-        # every region exposes its bordering geodesic arcs; each of the 2N
-        # arcs borders exactly two regions (counted with multiplicity)
-        assert all(r.boundary_segments() for r in regions)
-        counted = sum(len(r.boundary_arcs) for r in regions)
-        assert counted == 2 * len(regions[0].decomposition.arcs)
+        _, _, _, regions = n3_tiling
+        deco = regions[0].decomposition
+        # each geodesic arc has a region on either side (label = id + 1)
+        assert len(deco.arc_sides) == len(deco.arcs)
+        assert all(left != 0 and right != 0 for left, right in deco.arc_sides)
         for r in regions:
-            spans = [b - a for a, b in r.boundary_segments()]
-            assert abs(sum(spans) - r.boundary_length) < 1e-9
+            total = sum(length * sides.count(r.id + 1)
+                        for sides, length in zip(deco.arc_sides, deco.arc_lengths))
+            assert total > 0.0
+            assert abs(total - r.boundary_length) < 1e-9
 
     def test_refinement_stability(self, case_n3_e02, n3_tiling):
         sol, surf, tr = case_n3_e02
