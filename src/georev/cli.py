@@ -84,12 +84,23 @@ _COMMANDS = ("spheroid", "glued", "tiling", "audits", "toro", "invert", "csf", "
 _ALLOWED_PARAMS = {
     "spheroid": {"N", "eps"},
     "glued": {"a", "kind", "cyl_height", "N"},
-    "tiling": {"N", "eps", "grid", "subsample", "masks"},
+    "tiling": {"N", "eps", "grid", "masks"},
     "audits": {"suite", "count"},
     "toro": {"points", "eps"},
     "invert": {"count"},
     "csf": {"t_end", "u2_offset", "samples"},
     "all": set(),
+}
+
+
+# the numbers the runners read: integers at least the given floor, and reals
+# strictly between the given bounds (None: unbounded) for each command
+_INT_FLOOR = {"N": 1, "count": 1, "points": 1}
+_REAL_RANGE = {
+    "spheroid": {"eps": (0.0, 1.0)},
+    "tiling": {"eps": (0.0, 1.0)},
+    "toro": {"eps": (0.0, None)},
+    "csf": {"t_end": (0.0, None)},
 }
 
 
@@ -254,11 +265,10 @@ def _run_tiling(params, tol, outdir, rng, timestamp):
     N = int(params.get("N", 3))
     eps = float(params.get("eps", 0.2))
     nx, ny = _parse_grid(params.get("grid", "2048x1024"))
-    subsample = int(params.get("subsample", 16))
     sol, surf, trace = solve_for_geodesic(
         N, eps, shoot_tol=tol["shoot_tol"], closure_tol=tol["closure_tol"]
     )
-    regions = decompose_regions(surf, trace, grid=(nx, ny), subsample=subsample)
+    regions = decompose_regions(surf, trace, grid=(nx, ny))
     deco = regions[0].decomposition
     rows = []
     checks_ok = len(regions) == N + 2
@@ -578,7 +588,6 @@ def _build_parser():
     ti.add_argument("--N", type=int, default=None)
     ti.add_argument("--eps", type=float, default=None)
     ti.add_argument("--grid", default=None)
-    ti.add_argument("--subsample", type=int, default=None)
     ti.add_argument("--masks", action="store_true", default=None)
     au = sub.add_parser("audits", parents=[common])
     au.add_argument("--suite", choices=["section2", "ratio", "injectivity", "all"],
@@ -626,14 +635,24 @@ def _resolve_params(args):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
-    for key in ("subsample", "count"):
+    for key, floor in _INT_FLOOR.items():
         if key in params:
             try:
                 n = int(params[key])
             except (TypeError, ValueError):
-                n = 0
-            if n < 1:
-                raise ConfigError(f"{key} must be an integer >= 1, got {params[key]!r}")
+                n = floor - 1
+            if n < floor:
+                raise ConfigError(
+                    f"{key} must be an integer >= {floor}, got {params[key]!r}")
+    for key, (lo, hi) in _REAL_RANGE.get(command, {}).items():
+        if key in params:
+            try:
+                x = float(params[key])
+            except (TypeError, ValueError):
+                x = math.nan
+            if not (lo < x and (hi is None or x < hi)):
+                span = f"> {lo:g}" if hi is None else f"in ({lo:g}, {hi:g})"
+                raise ConfigError(f"{key} must be a number {span}, got {params[key]!r}")
     if "grid" in params:
         _parse_grid(params["grid"])
     return params

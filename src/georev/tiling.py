@@ -6,35 +6,25 @@ labeled by 4-connected flood fill, which is leak-free because consecutive
 blocked cells are 8-neighbors.  Each sample is binned a millionth of a step
 inside the steps on either side of it, so a sample on a grid vertex, where
 the exact geodesic may pass, blocks only cells the curve enters whichever
-way rounding moves it.  Cells crossed by the trace are redistributed
-to their adjacent regions by supersampling and an exact side-of-segment
-test, which keeps per-region curvature integrals accurate to well below the
-grid scale.  Corner angles at the self-intersections go to the regions
-of the four sectors there: each sector takes its region from the two arcs
-that bound it, whose left and right regions are probed at the arc
+way rounding moves it.  Corner angles at the self-intersections go to the
+regions of the four sectors there: each sector takes its region from the
+two arcs that bound it, whose left and right regions are probed at the arc
 midpoints, and the two arcs must agree.
 
-The redistribution is array code over all blocked cells at once.  Each
-cell's candidate segments (those with an end point in its 3x3
-neighbourhood) come from one sort of the segment end-point cells; cells
-with equally many candidates are evaluated together in bounded chunks.  It
-relies on two facts.  The lift of a subpoint's angle next to a candidate
-segment, round((mid - u1) / 2 pi), is the same for every subpoint of a cell,
-because each candidate lies within about two cells of it, far from the half
-period where the rounding could change.  And each cell's candidates are
-sorted and distinct, so the nearest-segment argmin breaks ties towards the
-first (lowest) segment index.  Per-cell, per-region sums are added in
-subpoint order, then into the region totals in blocked-cell order.
-
-The chunks run on up to 4 threads, no more than the CPUs the process may
-use; numpy releases the GIL in the large array calls that dominate them.
-The threads share the memory budget of one chunk in flight and take half of
-it, ``_CHUNK // (2 * workers)`` elements each, because every thread's
-allocator arena keeps its own freed temporaries.  Every chunk writes only
-its own cells' rows of the per-cell sums, and the main thread adds those
-rows into the totals in blocked-cell order afterwards, so every float is
-the same whatever the scheduling and the number of threads.  The threads
-run numpy only, never a georev function or profile method.
+Every integrand depends on u2 alone.  Free cells take their row's
+4-point Gauss-Legendre weight.  Blocked cells are split exactly by Green's
+theorem on the same row rule: with Phi_r(u2) the integral, from the row's
+bottom edge, of the cubic through the row's node densities, a region's part
+of a cell is minus the integral of Phi_r du1 around it.  Bottom edges add
+nothing (Phi_r = 0) and vertical edges add nothing (du1 = 0).  The trace is
+a closed polyline, the raster samples plus the crossing passages, so each
+segment lies on one arc; each segment is cut where it crosses a grid line
+(at most one of each kind, as a step is under 0.75 cell), and a piece in a
+blocked cell adds -/+ its integral of Phi_r du1, exact by 3 Gauss points,
+to its arc's left/right region.  A blocked cell's top edge is cut where the
+trace crosses that line, and each interval adds Phi_r(top) times its length
+to the side of the segment nearest its midpoint, among the segments with an
+end point in the cell's 3x3 block.
 
 For a region D with exterior angles alpha at its corners the audit
 quantifies the defect identity: integral of K over D equals 2 pi minus the
@@ -44,8 +34,6 @@ sum of the alphas.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,20 +59,10 @@ __all__ = [
 
 DEFAULT_GRID = (2048, 1024)
 ANGLE_TOL = 1e-6
-_CHUNK = 1 << 18  # elements per chunk of array work; bounds the temporaries
+_CHUNK = 1 << 18  # grid cells per band of the interior sums
 _N_RASTER = 32768  # trace samples, raised when a step spans most of a cell
 _NUDGE = 1e-6  # fraction of a step by which its ends are binned inside it
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-
-
-def _cpu_count():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-_WORKERS = min(4, _cpu_count())  # threads for the redistribution chunks
 
 
 class ResolutionError(RuntimeError):
@@ -156,7 +134,7 @@ def _label_with_seam(blocked):
     return lut.astype(labels.dtype)[labels], m - 1
 
 
-def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16):
+def decompose_regions(surface, trace, grid=DEFAULT_GRID):
     """Cut the surface along the closed trace; one Region per component.
 
     Requires a closure-certified trace with crossings already extracted.
@@ -213,28 +191,25 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16):
             )
         raise GeometryError(f"found {m} regions, expected {expected}")
 
-    # --- row quantities and interior sums -----------------------------------
+    # --- row rule and interior sums -----------------------------------------
     # all integrands are u1-independent, so a per-row Gauss-Legendre rule in
     # u2 makes the interior sums exact up to the blocked boundary strip
     gl_x, gl_w = np.polynomial.legendre.leggauss(4)
     rows = lo + (np.arange(ny)[:, None] + 0.5 * (gl_x[None, :] + 1.0)) * du2
     K_n, H2_n, h_n, gam_n = surface.curvature_grids(rows.ravel())
-    K_n = K_n.reshape(ny, 4)
-    H2_n = H2_n.reshape(ny, 4)
     dens = (h_n * gam_n).reshape(ny, 4)
-    w_row = (dens @ gl_w) * (0.5 * du2) * du1
-    kw_row = ((K_n * dens) @ gl_w) * (0.5 * du2) * du1
-    ew_row = ((0.25 * H2_n * dens) @ gl_w) * (0.5 * du2) * du1
-    # a band of rows at a time, with no full-grid weight copy: np.add.at
-    # adds in cell order, exactly as one bincount over the grid would
-    area, kda, wil = (np.zeros(m + 1) for _ in range(3))
-    cells = np.zeros(m + 1, dtype=np.int64)
+    node = np.stack([dens, K_n.reshape(ny, 4) * dens, 0.25 * H2_n.reshape(ny, 4) * dens])
+    top = (node @ gl_w) * (0.5 * du2)
+    # cells per (row, label), counted a band of rows at a time
+    count = np.zeros((ny, m + 1), dtype=np.int64)
     band = max(1, _CHUNK // nx)
     for r0 in range(0, ny, band):
-        lab = labels[r0:r0 + band].ravel()
-        for total, row in zip((area, kda, wil), (w_row, kw_row, ew_row)):
-            np.add.at(total, lab, np.repeat(row[r0:r0 + band], nx))
-        cells += np.bincount(lab, minlength=m + 1)
+        lab = labels[r0:r0 + band]
+        count[r0:r0 + band] = np.bincount(
+            (lab + (m + 1) * np.arange(lab.shape[0])[:, None]).ravel(),
+            minlength=lab.size // nx * (m + 1)).reshape(-1, m + 1)
+    sums = (top * du1) @ count
+    cells = count.sum(axis=0)
 
     # --- arcs between crossing passages -------------------------------------
     cuts = sorted({float(c.t) for c in crossings} | {float(c.s) for c in crossings})
@@ -274,13 +249,22 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16):
             raise GeometryError(f"cannot resolve the sides of arc ({a:.4f},{b:.4f})")
         arc_sides.append((lab_left, lab_right))
 
-    # --- redistribute blocked cells by exact side-of-segment tests ----------
+    # --- split the blocked cells by Green's theorem on the row rule ----------
+    # the raster samples plus each crossing passage not within a millionth of
+    # a step of a sample, so that every segment lies on one arc; the polyline
+    # closes on the first sample, lifted by whole turns
+    cut_t = np.array(cuts)
+    off = np.abs(cut_t / (T / ts.size) - np.round(cut_t / (T / ts.size))) > _NUDGE
+    at = np.searchsorted(ts, cut_t[off])
+    u1c, u2c = trace.eval(cut_t[off])[:2] if off.any() else (cut_t[off],) * 2
+    wind = round(float(u1e[-1] - u1s[0]) / (2.0 * math.pi))
+    points = np.stack([np.append(np.insert(u1s, at, u1c), u1s[0] + 2.0 * math.pi * wind),
+                       np.append(np.insert(u2s, at, u2c), u2s[0])], axis=1)
     _redistribute(
-        surface, blocked,
-        np.stack([u1s, u2s], axis=1), np.stack([u1e, u2e], axis=1),
-        (iy * nx + ix, iy_e * nx + ix_e), _segment_arcs(ts, T, cuts), arc_sides,
-        (lo, du1, du2), subsample, (area, kda, wil),
+        blocked, points, _segment_arcs(np.insert(ts, at, cut_t[off]), T, cuts),
+        arc_sides, (lo, du1, du2), (node, top), sums,
     )
+    area, kda, wil = sums
 
     # --- corner angles from the arc adjacency structure ----------------------
     # Each crossing carries four rays (the two passage tangents and their
@@ -384,7 +368,7 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID, subsample=16):
 
 
 def _segment_arcs(ts, T, cuts):
-    """Arc index of each raster segment, taken at its time midpoint."""
+    """Arc index of each polyline segment, taken at its time midpoint."""
     if not cuts:
         return np.zeros(ts.shape[0], dtype=np.int64)
     tm = np.fmod(0.5 * (ts + np.append(ts[1:], T)) - cuts[0], T)
@@ -394,12 +378,13 @@ def _segment_arcs(ts, T, cuts):
 
 
 def _cell_candidates(blocked, seg_keys):
-    """Distinct segments with an end point in each blocked cell's 3x3 block.
+    """Segments with an end point in each blocked cell's 3x3 block.
 
     ``seg_keys`` holds the flat cell index (row * nx + column) of every
     segment's start and end point.  Rows are clipped at the poles and
     columns wrap at the seam.  Returns the blocked cells' rows and columns
-    and the (cell, segment) pairs sorted by cell, then segment.
+    and the (cell, segment) pairs sorted by cell; a segment with both ends
+    in the block appears twice.
     """
     nx = blocked.shape[1]
     n_seg = seg_keys[0].shape[0]
@@ -416,109 +401,112 @@ def _cell_candidates(blocked, seg_keys):
     pos = np.repeat(first - (np.cumsum(count) - count), count)
     pos += np.arange(pos.shape[0])
     cell = np.repeat(np.arange(by.shape[0]), count.reshape(-1, 9).sum(axis=1))
-    pairs = np.unique(cell * n_seg + order[pos] % n_seg)
-    return by, bx, pairs // n_seg, pairs % n_seg
+    return by, bx, cell, order[pos] % n_seg
 
 
-def _redistribute(surface, blocked, seg_p0, seg_p1, seg_keys, seg_arc,
-                  arc_sides, frame, sub, sums):
-    """Add each blocked cell's supersampled integrals to the regions beside it.
+def _antiderivative_basis():
+    """Coefficients D with [z, z^2, z^3, z^4] @ D = the integrals from 0 to z
+    of the Lagrange cubics through the 4 Gauss-Legendre nodes on [0, 1]."""
+    z = 0.5 * (np.polynomial.legendre.leggauss(4)[0] + 1.0)
+    return np.linalg.inv(np.vander(z, 4, increasing=True)) / np.arange(1, 5)[:, None]
 
-    Every one of a cell's sub x sub subpoints goes to the left or right
-    region of its nearest candidate segment.  ``sums`` = (area, KdA,
-    Willmore) per label, updated in place.
+
+def _redistribute(blocked, points, seg_arc, arc_sides, frame, rule, sums):
+    """Add each blocked cell's integrals to the regions in it, by Green's theorem.
+
+    ``points`` is the closed polyline, (n + 1, 2) in lifted u1 and u2, whose
+    segment i lies on the arc ``seg_arc[i]``.
+    ``rule`` = (node, top): the densities at the 4 row nodes, (3, ny, 4),
+    and their row integrals per unit u1, (3, ny).  ``sums`` = (area, KdA,
+    Willmore) per label, (3, labels), updated in place.
     """
     lo, du1, du2 = frame
-    ny = blocked.shape[0]
-    n_lab = sums[0].shape[0]
-    by, bx, cell, seg = _cell_candidates(blocked, seg_keys)
-    n_cand = np.bincount(cell, minlength=by.shape[0])
-    first = np.cumsum(n_cand) - n_cand
+    ny, nx = blocked.shape
+    node, top = rule
+    n_lab = sums.shape[1]
     left = np.array([a[0] for a in arc_sides])
     right = np.array([a[1] for a in arc_sides])
     two_pi = 2.0 * math.pi
-    offs = (np.arange(sub) + 0.5) / sub
-    # subpoint weights on every (row, sub-row) latitude from one call
-    Ksub, H2sub, hh, gg = surface.curvature_grids(
-        (lo + (np.arange(ny)[:, None] + offs) * du2).ravel()
-    )
-    wsub = hh * gg * (du1 * du2 / (sub * sub))
-    weights = [q.reshape(ny, sub) for q in (wsub, Ksub * wsub, 0.25 * H2sub * wsub)]
-    per_cell = np.zeros((3, by.shape[0], n_lab))
 
-    def fill_chunk(task):
-        # numpy only: no georev function or ProfileCurve method may run on a
-        # worker thread, where a wrapper's call stack (a tracer's) would see
-        # interleaved calls; the curvature weights are computed above
-        k, idx = task
-        n = idx.shape[0]
-        cy, cx = by[idx], bx[idx]
-        cand = seg[first[idx, None] + np.arange(k)]
-        p0 = seg_p0[cand]
-        p1 = seg_p1[cand]
-        pu1 = (cx[:, None] + offs) * du1
-        pu2 = lo + (cy[:, None] + offs) * du2
-        # lift the subpoint angle into each candidate segment's
-        # neighborhood; every candidate lies within about two cells of
-        # the cell, so the rounding is the same for all its subpoints
-        mid = 0.5 * (p0[..., 0] + p1[..., 0])
-        kshift = np.round((mid - ((cx + 0.5) * du1)[:, None]) / two_pi)
-        ex = p1[..., 0] - p0[..., 0]
-        ey = p1[..., 1] - p0[..., 1]
-        # (cell, sub-column, candidate) and (cell, sub-row, candidate)
-        fx = (pu1[:, :, None] + two_pi * kshift[:, None, :]) - p0[:, None, :, 0]
-        fy = pu2[:, :, None] - p0[:, None, :, 1]
-        ee = ex * ex + ey * ey
-        ex4, ey4 = ex[:, None, None, :], ey[:, None, None, :]
-        # (cell, sub-row, sub-column, candidate) from here on
-        tpar = fx[:, None] * ex4 + fy[:, :, None] * ey4
-        tpar /= ee[:, None, None, :]
-        np.clip(tpar, 0.0, 1.0, out=tpar)
-        dx = fx[:, None] - tpar * ex4
-        tpar *= ey4
-        dy_ = np.subtract(fy[:, :, None], tpar, out=tpar)
-        dx /= du1
-        np.square(dx, out=dx)
-        dy_ /= du2
-        np.square(dy_, out=dy_)
-        dx += dy_
-        nearest = np.argmin(dx, axis=-1)
-        ci = np.arange(n)[:, None, None]
-        cross = (ex[ci, nearest] * fy[ci, np.arange(sub)[:, None], nearest]
-                 - ey[ci, nearest] * fx[ci, np.arange(sub), nearest])
-        arcs_near = seg_arc[cand[ci, nearest]]
-        lab_sub = np.where(cross > 0.0, left[arcs_near], right[arcs_near])
-        key = (ci * n_lab + lab_sub).ravel()
-        for q, w in enumerate(weights):
-            per_cell[q, idx] = np.bincount(
-                key, weights=np.repeat(w[cy], sub, axis=1).ravel(),
-                minlength=n * n_lab,
-            ).reshape(n, n_lab)
+    # --- curve pieces: every segment split at the grid lines it crosses ------
+    p0, p1 = points[:-1], points[1:]
+    d = p1 - p0
+    cx = np.floor(points[:, 0] / du1)
+    cy = np.clip(np.floor((points[:, 1] - lo) / du2), 0, ny - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        av = (np.maximum(cx[:-1], cx[1:]) * du1 - p0[:, 0]) / d[:, 0]
+        y_line = lo + np.maximum(cy[:-1], cy[1:]) * du2
+        ah = (y_line - p0[:, 1]) / d[:, 1]
+    av = np.where(cx[:-1] != cx[1:], np.clip(av, 0.0, 1.0), 1.0)
+    ah = np.where(cy[:-1] != cy[1:], np.clip(ah, 0.0, 1.0), 1.0)
+    n_seg = d.shape[0]
+    cut = np.sort(np.stack([np.zeros(n_seg), av, ah, np.ones(n_seg)], axis=1))
+    seg = np.repeat(np.arange(n_seg), 3)
+    sa, sb = cut[:, :-1].ravel(), cut[:, 1:].ravel()
+    sm = 0.5 * (sa + sb)
+    row = np.clip(np.floor((p0[seg, 1] + sm * d[seg, 1] - lo) / du2), 0, ny - 1
+                  ).astype(np.int64)
+    col = np.floor((p0[seg, 0] + sm * d[seg, 0]) / du1).astype(np.int64) % nx
+    keep = (sb > sa) & blocked[row, col]
+    seg, sa, sb, row = seg[keep], sa[keep], sb[keep], row[keep]
+    # -integral of Phi_r du1 along the piece, Phi_r the row rule's integral
+    # from the row's bottom edge: a quartic, so 3 Gauss points are exact
+    g_x, g_w = np.polynomial.legendre.leggauss(3)
+    s = sa[:, None] + (sb - sa)[:, None] * (0.5 * (g_x + 1.0))
+    z = (p0[seg, 1, None] + s * d[seg, 1, None] - lo) / du2 - row[:, None]
+    basis = ((0.5 * g_w) @ (z[..., None] ** np.arange(1, 5))) @ _antiderivative_basis()
+    basis *= ((sb - sa) * d[seg, 0] * du2)[:, None]
+    flux = np.einsum("qpk,pk->qp", node[:, row], basis)
+    arcs = seg_arc[seg]
+    for total, f in zip(sums, flux):
+        total -= np.bincount(left[arcs], weights=f, minlength=n_lab)
+        total += np.bincount(right[arcs], weights=f, minlength=n_lab)
 
-    # the chunks in flight share one memory budget; worker threads take half
-    # of it between them, because each thread's allocator arena keeps its
-    # own freed temporaries besides the main thread's
-    workers = _WORKERS
-    share = _CHUNK if workers == 1 else _CHUNK // (2 * workers)
-    tasks = []
-    for k in np.unique(n_cand[n_cand > 0]):
-        group = np.flatnonzero(n_cand == k)
-        step = max(1, share // (sub * sub * k))
-        tasks.extend((k, group[start:start + step])
-                     for start in range(0, group.shape[0], step))
-    if workers == 1:
-        for task in tasks:
-            fill_chunk(task)
-    else:
-        # every task writes its own rows of per_cell; map re-raises the
-        # first error, and leaving the block joins the threads
-        with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(fill_chunk, tasks):
-                pass
+    # --- top edges: Phi_r(top) times each interval between the trace's
+    # crossings of the line, on the side of its midpoint's nearest segment --
+    end_key = cy.astype(np.int64) * nx + cx.astype(np.int64) % nx
+    by, bx, cand_cell, cand_seg = _cell_candidates(blocked, (end_key[:-1], end_key[1:]))
+    cross = cy[:-1] != cy[1:]
+    xc = p0[cross, 0] + ah[cross] * d[cross, 0]
+    rc = np.maximum(cy[:-1], cy[1:])[cross].astype(np.int64) - 1
+    fc = np.floor(xc / du1)
+    key = rc * nx + fc.astype(np.int64) % nx
+    cell_key = by * nx + bx
+    at = np.searchsorted(cell_key, key)
+    hit = np.flatnonzero(cell_key[np.minimum(at, cell_key.shape[0] - 1)] == key)
+    n_cell = by.shape[0]
+    ci = np.concatenate([at[hit], np.arange(n_cell), np.arange(n_cell)])
+    xi = np.concatenate([(xc / du1 - fc)[hit], np.zeros(n_cell), np.ones(n_cell)])
+    order = np.lexsort((xi, ci))
+    ci, xi = ci[order], xi[order]
+    edge = np.flatnonzero((ci[1:] == ci[:-1]) & (xi[1:] > xi[:-1]))
+    ci, a, b = ci[edge], xi[edge], xi[edge + 1]
+    qx = (bx[ci] + 0.5 * (a + b)) * du1
+    qy = lo + (by[ci] + 1) * du2
+    # every (interval, candidate) pair; the nearest candidate, ties to the
+    # lowest segment index
+    n_cand = np.bincount(cand_cell, minlength=n_cell)
+    first = np.cumsum(n_cand) - n_cand
+    cnt = n_cand[ci]
+    start = np.cumsum(cnt) - cnt
+    pair = np.repeat(np.arange(ci.shape[0]), cnt)
+    cand = cand_seg[np.repeat(first[ci] - start, cnt) + np.arange(pair.shape[0])]
 
-    # add the cells into the totals one by one, in blocked-cell order
-    for total, part in zip(sums, per_cell):
-        total[:] = np.add.accumulate(np.vstack([total, part]), axis=0)[-1]
+    def offsets(q, sg):
+        kshift = np.round((0.5 * (p0[sg, 0] + p1[sg, 0]) - qx[q]) / two_pi)
+        return qx[q] + two_pi * kshift - p0[sg, 0], qy[q] - p0[sg, 1]
+
+    fx, fy = offsets(pair, cand)
+    ex, ey = d[cand, 0], d[cand, 1]
+    tpar = np.clip((fx * ex + fy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    dist = ((fx - tpar * ex) / du1) ** 2 + ((fy - tpar * ey) / du2) ** 2
+    dmin = np.minimum.reduceat(dist, start)
+    near = np.minimum.reduceat(np.where(dist == dmin[pair], cand, n_seg), start)
+    fx, fy = offsets(np.arange(ci.shape[0]), near)
+    side = d[near, 0] * fy - d[near, 1] * fx > 0.0
+    lab = np.where(side, left[seg_arc[near]], right[seg_arc[near]])
+    for total, t in zip(sums, top[:, by[ci]] * ((b - a) * du1)):
+        total += np.bincount(lab, weights=t, minlength=n_lab)
 
 
 def region_gauss_bonnet(region, xi=None, tol=1e-3):

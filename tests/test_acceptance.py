@@ -241,7 +241,7 @@ def test_criterion_07_tiling_suite():
     for N in (3, 4):
         t0 = time.perf_counter()
         sol, surf, trace = solved_case(N, 0.2)
-        regions = decompose_regions(surf, trace, grid=(2048, 1024), subsample=16)
+        regions = decompose_regions(surf, trace, grid=(2048, 1024))
         deco = regions[0].decomposition
         ok = ok and len(regions) == N + 2
         worst = 0.0

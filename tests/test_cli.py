@@ -63,10 +63,16 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("args,config,key", [
         (["tiling", "--grid", "2048"], None, "grid"),
-        (["tiling", "--subsample", "0"], None, "subsample"),
-        (["tiling", "--subsample", "-2"], None, "subsample"),
+        (["tiling", "--N", "0"], None, "N"),
+        (["tiling", "--eps", "0"], None, "eps"),
         (["audits", "--suite", "section2", "--count", "-3"], None, "count"),
         (["tiling"], {"grid": "0x512"}, "grid"),
+        (["toro", "--points", "0"], None, "points"),
+        (["csf", "--t-end", "-1"], None, "t_end"),
+        (["spheroid", "--N", "0"], None, "N"),
+        (["spheroid", "--eps", "1.5"], None, "eps"),
+        (["spheroid"], {"eps": "a"}, "eps"),
+        (["toro"], {"points": -5}, "points"),
     ])
     def test_malformed_numbers_rejected(self, tmp_path, capsys, args, config, key):
         if config is not None:
