@@ -59,7 +59,7 @@ __all__ = [
 
 DEFAULT_GRID = (2048, 1024)
 ANGLE_TOL = 1e-6
-_CHUNK = 1 << 18  # grid cells per band of the interior sums
+_CHUNK = 1 << 15  # elements per chunk of array work; bounds the temporaries
 _N_RASTER = 32768  # trace samples, raised when a step spans most of a cell
 _NUDGE = 1e-6  # fraction of a step by which its ends are binned inside it
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
@@ -415,65 +415,74 @@ def _redistribute(blocked, points, seg_arc, arc_sides, frame, rule, sums):
     """Add each blocked cell's integrals to the regions in it, by Green's theorem.
 
     ``points`` is the closed polyline, (n + 1, 2) in lifted u1 and u2, whose
-    segment i lies on the arc ``seg_arc[i]``.
-    ``rule`` = (node, top): the densities at the 4 row nodes, (3, ny, 4),
-    and their row integrals per unit u1, (3, ny).  ``sums`` = (area, KdA,
-    Willmore) per label, (3, labels), updated in place.
+    segment i lies on the arc ``seg_arc[i]``.  ``rule`` = (node, top): the
+    densities at the 4 row nodes, (3, ny, 4), and their row integrals per
+    unit u1, (3, ny).  ``sums`` = (area, KdA, Willmore) per label, (3,
+    labels), updated in place.
     """
     lo, du1, du2 = frame
-    ny, nx = blocked.shape
-    node, top = rule
-    n_lab = sums.shape[1]
-    left = np.array([a[0] for a in arc_sides])
-    right = np.array([a[1] for a in arc_sides])
-    two_pi = 2.0 * math.pi
-
-    # --- curve pieces: every segment split at the grid lines it crosses ------
-    p0, p1 = points[:-1], points[1:]
-    d = p1 - p0
+    ny = blocked.shape[0]
+    sides = np.asarray(arc_sides)[seg_arc]  # left and right label per segment
     cx = np.floor(points[:, 0] / du1)
     cy = np.clip(np.floor((points[:, 1] - lo) / du2), 0, ny - 1)
+    d = np.diff(points, axis=0)
+    # the fraction of each segment at which it crosses a vertical and a
+    # horizontal grid line, 1 where it crosses none
     with np.errstate(divide="ignore", invalid="ignore"):
-        av = (np.maximum(cx[:-1], cx[1:]) * du1 - p0[:, 0]) / d[:, 0]
-        y_line = lo + np.maximum(cy[:-1], cy[1:]) * du2
-        ah = (y_line - p0[:, 1]) / d[:, 1]
+        av = (np.maximum(cx[:-1], cx[1:]) * du1 - points[:-1, 0]) / d[:, 0]
+        ah = (lo + np.maximum(cy[:-1], cy[1:]) * du2 - points[:-1, 1]) / d[:, 1]
     av = np.where(cx[:-1] != cx[1:], np.clip(av, 0.0, 1.0), 1.0)
     ah = np.where(cy[:-1] != cy[1:], np.clip(ah, 0.0, 1.0), 1.0)
+    _add_pieces(blocked, points, d, np.stack([av, ah], axis=1), sides, frame,
+                rule[0], sums)
+    _add_top_edges(blocked, points, d, (cx, cy), ah, sides, frame, rule[1], sums)
+
+
+def _add_pieces(blocked, points, d, splits, sides, frame, node, sums):
+    """Minus / plus the integral of Phi_r du1 along each piece of a segment in
+    a blocked cell, to the segment's left / right region.  Phi_r, the row
+    rule's integral from the row's bottom edge, is a quartic along a piece,
+    so 3 Gauss points are exact."""
+    lo, du1, du2 = frame
+    ny, nx = blocked.shape
     n_seg = d.shape[0]
-    cut = np.sort(np.stack([np.zeros(n_seg), av, ah, np.ones(n_seg)], axis=1))
+    cut = np.sort(np.hstack([np.zeros((n_seg, 1)), splits, np.ones((n_seg, 1))]))
     seg = np.repeat(np.arange(n_seg), 3)
     sa, sb = cut[:, :-1].ravel(), cut[:, 1:].ravel()
-    sm = 0.5 * (sa + sb)
-    row = np.clip(np.floor((p0[seg, 1] + sm * d[seg, 1] - lo) / du2), 0, ny - 1
-                  ).astype(np.int64)
-    col = np.floor((p0[seg, 0] + sm * d[seg, 0]) / du1).astype(np.int64) % nx
-    keep = (sb > sa) & blocked[row, col]
+    mid = points[seg] + (0.5 * (sa + sb))[:, None] * d[seg]
+    row = np.clip(np.floor((mid[:, 1] - lo) / du2), 0, ny - 1).astype(np.int64)
+    keep = (sb > sa) & blocked[row, np.floor(mid[:, 0] / du1).astype(np.int64) % nx]
     seg, sa, sb, row = seg[keep], sa[keep], sb[keep], row[keep]
-    # -integral of Phi_r du1 along the piece, Phi_r the row rule's integral
-    # from the row's bottom edge: a quartic, so 3 Gauss points are exact
     g_x, g_w = np.polynomial.legendre.leggauss(3)
     s = sa[:, None] + (sb - sa)[:, None] * (0.5 * (g_x + 1.0))
-    z = (p0[seg, 1, None] + s * d[seg, 1, None] - lo) / du2 - row[:, None]
+    z = (points[seg, 1, None] + s * d[seg, 1, None] - lo) / du2 - row[:, None]
     basis = ((0.5 * g_w) @ (z[..., None] ** np.arange(1, 5))) @ _antiderivative_basis()
     basis *= ((sb - sa) * d[seg, 0] * du2)[:, None]
-    flux = np.einsum("qpk,pk->qp", node[:, row], basis)
-    arcs = seg_arc[seg]
-    for total, f in zip(sums, flux):
-        total -= np.bincount(left[arcs], weights=f, minlength=n_lab)
-        total += np.bincount(right[arcs], weights=f, minlength=n_lab)
+    n_lab = sums.shape[1]
+    for total, node_q in zip(sums, node):
+        flux = np.einsum("pk,pk->p", node_q[row], basis)
+        total -= np.bincount(sides[seg, 0], weights=flux, minlength=n_lab)
+        total += np.bincount(sides[seg, 1], weights=flux, minlength=n_lab)
 
-    # --- top edges: Phi_r(top) times each interval between the trace's
-    # crossings of the line, on the side of its midpoint's nearest segment --
+
+def _add_top_edges(blocked, points, d, corner_cells, ah, sides, frame, top, sums):
+    """Phi_r(top) times each interval of a blocked cell's top edge between
+    the trace's crossings of that line, to the side of the segment nearest
+    the interval's midpoint (ties to the lowest segment index)."""
+    lo, du1, du2 = frame
+    nx = blocked.shape[1]
+    cx, cy = corner_cells
     end_key = cy.astype(np.int64) * nx + cx.astype(np.int64) % nx
     by, bx, cand_cell, cand_seg = _cell_candidates(blocked, (end_key[:-1], end_key[1:]))
-    cross = cy[:-1] != cy[1:]
-    xc = p0[cross, 0] + ah[cross] * d[cross, 0]
-    rc = np.maximum(cy[:-1], cy[1:])[cross].astype(np.int64) - 1
+    # the crossings of the horizontal lines, in the cell below the line
+    cross = np.flatnonzero(cy[:-1] != cy[1:])
+    xc = points[cross, 0] + ah[cross] * d[cross, 0]
     fc = np.floor(xc / du1)
-    key = rc * nx + fc.astype(np.int64) % nx
+    key = ((np.maximum(cy[cross], cy[cross + 1]) - 1).astype(np.int64) * nx
+           + fc.astype(np.int64) % nx)
     cell_key = by * nx + bx
-    at = np.searchsorted(cell_key, key)
-    hit = np.flatnonzero(cell_key[np.minimum(at, cell_key.shape[0] - 1)] == key)
+    at = np.minimum(np.searchsorted(cell_key, key), cell_key.shape[0] - 1)
+    hit = cell_key[at] == key
     n_cell = by.shape[0]
     ci = np.concatenate([at[hit], np.arange(n_cell), np.arange(n_cell)])
     xi = np.concatenate([(xc / du1 - fc)[hit], np.zeros(n_cell), np.ones(n_cell)])
@@ -483,30 +492,34 @@ def _redistribute(blocked, points, seg_arc, arc_sides, frame, rule, sums):
     ci, a, b = ci[edge], xi[edge], xi[edge + 1]
     qx = (bx[ci] + 0.5 * (a + b)) * du1
     qy = lo + (by[ci] + 1) * du2
-    # every (interval, candidate) pair; the nearest candidate, ties to the
-    # lowest segment index
+    # the (interval, candidate) pairs, a chunk of intervals at a time
     n_cand = np.bincount(cand_cell, minlength=n_cell)
     first = np.cumsum(n_cand) - n_cand
     cnt = n_cand[ci]
     start = np.cumsum(cnt) - cnt
-    pair = np.repeat(np.arange(ci.shape[0]), cnt)
-    cand = cand_seg[np.repeat(first[ci] - start, cnt) + np.arange(pair.shape[0])]
-
-    def offsets(q, sg):
-        kshift = np.round((0.5 * (p0[sg, 0] + p1[sg, 0]) - qx[q]) / two_pi)
-        return qx[q] + two_pi * kshift - p0[sg, 0], qy[q] - p0[sg, 1]
-
-    fx, fy = offsets(pair, cand)
-    ex, ey = d[cand, 0], d[cand, 1]
-    tpar = np.clip((fx * ex + fy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
-    dist = ((fx - tpar * ex) / du1) ** 2 + ((fy - tpar * ey) / du2) ** 2
-    dmin = np.minimum.reduceat(dist, start)
-    near = np.minimum.reduceat(np.where(dist == dmin[pair], cand, n_seg), start)
-    fx, fy = offsets(np.arange(ci.shape[0]), near)
-    side = d[near, 0] * fy - d[near, 1] * fx > 0.0
-    lab = np.where(side, left[seg_arc[near]], right[seg_arc[near]])
+    lab = np.empty(ci.shape[0], dtype=sides.dtype)
+    bounds = [0, *(np.flatnonzero(np.diff(start // _CHUNK)) + 1), ci.shape[0]]
+    for i0, i1 in zip(bounds[:-1], bounds[1:]):
+        c = cnt[i0:i1]
+        at = np.cumsum(c) - c
+        pair = np.repeat(np.arange(i0, i1), c)
+        cand = cand_seg[np.repeat(first[ci[i0:i1]] - at, c) + np.arange(pair.shape[0])]
+        fx, fy = _offsets(points, qx[pair], qy[pair], cand)
+        ex, ey = d[cand, 0], d[cand, 1]
+        tpar = np.clip((fx * ex + fy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+        dist = ((fx - tpar * ex) / du1) ** 2 + ((fy - tpar * ey) / du2) ** 2
+        dmin = np.minimum.reduceat(dist, at)
+        near = np.minimum.reduceat(np.where(dist == dmin[pair - i0], cand, d.shape[0]), at)
+        fx, fy = _offsets(points, qx[i0:i1], qy[i0:i1], near)
+        lab[i0:i1] = sides[near, np.where(d[near, 0] * fy - d[near, 1] * fx > 0.0, 0, 1)]
     for total, t in zip(sums, top[:, by[ci]] * ((b - a) * du1)):
-        total += np.bincount(lab, weights=t, minlength=n_lab)
+        total += np.bincount(lab, weights=t, minlength=sums.shape[1])
+
+
+def _offsets(points, qx, qy, seg):
+    """(qx, qy) minus each segment's start, qx lifted by whole turns next to it."""
+    kshift = np.round((0.5 * (points[seg, 0] + points[seg + 1, 0]) - qx) / (2.0 * math.pi))
+    return qx + 2.0 * math.pi * kshift - points[seg, 0], qy - points[seg, 1]
 
 
 def region_gauss_bonnet(region, xi=None, tol=1e-3):
