@@ -264,7 +264,6 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID):
         blocked, points, _segment_arcs(np.insert(ts, at, cut_t[off]), T, cuts),
         arc_sides, (lo, du1, du2), (node, top), sums,
     )
-    area, kda, wil = sums
 
     # --- corner angles from the arc adjacency structure ----------------------
     # Each crossing carries four rays (the two passage tangents and their
@@ -354,9 +353,9 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID):
         regions.append(
             Region(
                 id=i - 1,
-                area=float(area[i]),
-                KdA=float(kda[i]),
-                willmore=float(wil[i]),
+                area=float(sums[0, i]),
+                KdA=float(sums[1, i]),
+                willmore=float(sums[2, i]),
                 corners=corners_by_region[i],
                 N_i=n_i,
                 boundary_length=float(blen[i]),
@@ -435,7 +434,7 @@ def _redistribute(blocked, points, seg_arc, arc_sides, frame, rule, sums):
     ah = np.where(cy[:-1] != cy[1:], np.clip(ah, 0.0, 1.0), 1.0)
     _add_pieces(blocked, points, d, np.stack([av, ah], axis=1), sides, frame,
                 rule[0], sums)
-    _add_top_edges(blocked, points, d, (cx, cy), ah, sides, frame, rule[1], sums)
+    _add_top_edges(blocked, points, d, cx, cy, ah, sides, frame, rule[1], sums)
 
 
 def _add_pieces(blocked, points, d, splits, sides, frame, node, sums):
@@ -465,13 +464,12 @@ def _add_pieces(blocked, points, d, splits, sides, frame, node, sums):
         total += np.bincount(sides[seg, 1], weights=flux, minlength=n_lab)
 
 
-def _add_top_edges(blocked, points, d, corner_cells, ah, sides, frame, top, sums):
+def _add_top_edges(blocked, points, d, cx, cy, ah, sides, frame, top, sums):
     """Phi_r(top) times each interval of a blocked cell's top edge between
     the trace's crossings of that line, to the side of the segment nearest
     the interval's midpoint (ties to the lowest segment index)."""
     lo, du1, du2 = frame
     nx = blocked.shape[1]
-    cx, cy = corner_cells
     end_key = cy.astype(np.int64) * nx + cx.astype(np.int64) % nx
     by, bx, cand_cell, cand_seg = _cell_candidates(blocked, (end_key[:-1], end_key[1:]))
     # the crossings of the horizontal lines, in the cell below the line
