@@ -93,9 +93,9 @@ _ALLOWED_PARAMS = {
 }
 
 
-# the numbers the runners read: integers at least the given floor, and reals
-# strictly between the given bounds (None: unbounded) for each command
-_INT_FLOOR = {"N": 1, "count": 1, "points": 1}
+# the numbers the runners read: counts, which must be at least 1, and reals,
+# which must lie strictly between the given bounds (None: unbounded)
+_COUNTS = ("N", "count", "points")
 _REAL_RANGE = {
     "spheroid": {"eps": (0.0, 1.0)},
     "tiling": {"eps": (0.0, 1.0)},
@@ -635,15 +635,14 @@ def _resolve_params(args):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
-    for key, floor in _INT_FLOOR.items():
+    for key in _COUNTS:
         if key in params:
             try:
                 n = int(params[key])
             except (TypeError, ValueError):
-                n = floor - 1
-            if n < floor:
-                raise ConfigError(
-                    f"{key} must be an integer >= {floor}, got {params[key]!r}")
+                n = 0
+            if n < 1:
+                raise ConfigError(f"{key} must be an integer >= 1, got {params[key]!r}")
     for key, (lo, hi) in _REAL_RANGE.get(command, {}).items():
         if key in params:
             try:
