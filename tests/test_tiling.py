@@ -517,8 +517,8 @@ class TestReferenceLoop:
         np.testing.assert_allclose(_totals(got), _totals(want), rtol=1e-12, atol=0.0)
 
     def test_subpoint_route_agrees(self, case_n3_e02, monkeypatch):
-        # the supersampled route errs by O(1/sub) of a cell along the trace;
-        # measured at sub = 16 on this grid: 1.5e-5 relative at worst
+        # the supersampled route puts the trace on a grid of sub x sub
+        # subpoints per cell, so it errs by O(1/sub) of a cell along the trace
         surf, tr = case_n3_e02[1], case_n3_e02[2]
         got = decompose_regions(surf, tr, grid=self.GRID)
         monkeypatch.setattr(tiling, "_redistribute", _subpoint_route(surf, 16))
