@@ -10,15 +10,21 @@ the metric diag(h^2, gamma^2):
     a^2 = u2'' - (h h'/gamma^2) u1'^2 + (gamma'/gamma) u2'^2
 
 (coefficients from ``ProfileCurve.christoffel``) projected orthogonally to
-the tangent.  Time stepping is explicit with the parabolic restriction
-dt = DT_SAFETY * (min spacing)^2.  ``evolve`` and ``avoidance_harness`` share
-one step kernel: ``curvature_velocity`` evaluates the profile at the samples,
-``_euler_step`` moves them, checks the chart band and the length monotonicity,
-and evaluates the profile at the new segment midpoints.  Those segment
-lengths are carried into the next step's velocity and dt rule, so each step
-makes two profile evaluations.  Rotationally symmetric initial data stay exact
-parallels, for which the flow reduces to the scalar latitude equation
-du2/dt = -h'/(h gamma^2); that reduction doubles as a test oracle.
+the tangent.  Time stepping is linearly implicit in increment form (Dziuk,
+M3AS 4, 1994; Mikula and Sevcovic, SIAM J. Appl. Math. 61, 2001): a step
+solves (I - dt L) dX = dt vel, where vel is the explicit covariant velocity
+and L the periodic three-point second difference in arclength.  The
+implicit part damps the stiff second difference, so the step size
+dt = DT_SAFETY * (min spacing)^2 is set by accuracy, not by the parabolic
+stability limit of forward Euler.  ``evolve`` and ``avoidance_harness``
+share one step: ``curvature_velocity`` evaluates the profile at the samples,
+``_implicit_step`` solves for the increment, moves the samples, checks the
+chart band and the length monotonicity, and evaluates the profile at the
+new segment midpoints.  Those segment lengths are carried into the next
+step's velocity, matrix and dt rule, so each step makes two profile
+evaluations.  Rotationally symmetric initial data stay exact parallels, for
+which the flow reduces to the scalar latitude equation
+du2/dt = -h'/(h gamma^2); the tests use that reduction as an oracle.
 
 Flows are restricted to bands away from the poles, where the chart
 discretization would degenerate.
@@ -31,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 __all__ = [
     "FlowCurve",
@@ -41,15 +48,13 @@ __all__ = [
     "ChartError",
     "AvoidanceViolation",
     "parallel_curve",
-    "curve_from_trace",
     "curvature_velocity",
     "evolve",
     "avoidance_harness",
-    "latitude_ode_rhs",
 ]
 
 
-DT_SAFETY = 0.4  # dt = DT_SAFETY * (min spacing)^2
+DT_SAFETY = 4.0  # dt = DT_SAFETY * (min spacing)^2
 RESAMPLE_CHECK_EVERY = 10  # steps between spacing checks in ``evolve``
 RESAMPLE_RATIO = 1.5  # respace when max/min segment length exceeds this
 MAX_STEPS = 2_000_000
@@ -156,16 +161,21 @@ def parallel_curve(surface, u2, m=96):
     return FlowCurve(np.stack([u1, np.full(m, float(u2))], axis=1), 1)
 
 
-def curve_from_trace(trace, m=512):
-    """Resample a closure-certified geodesic trace as a FlowCurve."""
-    if trace.closure is None:
-        raise ValueError("trace must be closure-certified")
-    T = trace.closure.period
-    ts = np.linspace(0.0, T, m, endpoint=False)
-    ys = trace.eval(ts)
-    yT = trace.eval(T)
-    winding = int(round((yT[0] - ys[0][0]) / (2.0 * math.pi)))
-    return FlowCurve(np.stack([ys[0], ys[1]], axis=1), winding, 0.0)
+def _stencil(seg):
+    """Nonuniform 3-point second difference in arclength from segment lengths.
+
+    Sample i lies between the segments ``seg[i - 1]`` and ``seg[i]``.
+    Returns those lengths before each sample, the common denominator of the
+    stencil's weights, and the weights (v_m, v_0, v_p) on (previous, sample,
+    next).
+    """
+    h_next = seg
+    h_prev = np.concatenate([seg[-1:], seg[:-1]])
+    denom = h_prev * h_next * (h_prev + h_next)
+    v_m = 2.0 * h_next / denom
+    v_p = 2.0 * h_prev / denom
+    v_0 = -(v_m + v_p)
+    return h_prev, denom, (v_m, v_0, v_p)
 
 
 def curvature_velocity(surface, curve, seg=None):
@@ -178,18 +188,12 @@ def curvature_velocity(surface, curve, seg=None):
     p = curve.samples
     if seg is None:
         seg = curve.metric_lengths(surface, nxt)
-    h_next = seg
-    h_prev = np.concatenate([seg[-1:], seg[:-1]])
-
+    h_prev, denom, (v_m, v_0, v_p) = _stencil(seg)
     # nonuniform 3-point first and second derivatives in arclength
-    denom = h_prev * h_next * (h_prev + h_next)
-    w_m = -(h_next**2) / denom
-    w_0 = (h_next**2 - h_prev**2) / denom
+    w_m = -(seg**2) / denom
+    w_0 = (seg**2 - h_prev**2) / denom
     w_p = (h_prev**2) / denom
     xp = w_m[:, None] * prv + w_0[:, None] * p + w_p[:, None] * nxt
-    v_m = 2.0 * h_next / denom
-    v_p = 2.0 * h_prev / denom
-    v_0 = -(v_m + v_p)
     xpp = v_m[:, None] * prv + v_0[:, None] * p + v_p[:, None] * nxt
 
     h, dh_h, hdh_gg, dgam_gam, gam = surface.profile.christoffel(p[:, 1])
@@ -211,16 +215,16 @@ def _resample_uniform(curve, surface, seg):
 
     ``seg`` is ``curve.metric_lengths(surface)``.  The winding trend is
     removed from u1 so that both chart coordinates are periodic functions of
-    the arclength parameter.
+    the arclength parameter; the detrended u1 is closed on its first value
+    exactly, since (u1[0] + shift) - shift need not round back to u1[0].
     """
     s = np.concatenate([[0.0], np.cumsum(seg)])
     total = s[-1]
     m = curve.m
     shift = 2.0 * math.pi * curve.winding
-    u1 = np.concatenate([curve.samples[:, 0], [curve.samples[0, 0] + shift]])
+    u1 = curve.samples[:, 0] - shift * s[:-1] / total
     u2 = np.concatenate([curve.samples[:, 1], [curve.samples[0, 1]]])
-    trend = shift * s / total
-    sp1 = CubicSpline(s, u1 - trend, bc_type="periodic")
+    sp1 = CubicSpline(s, np.append(u1, u1[0]), bc_type="periodic")
     sp2 = CubicSpline(s, u2, bc_type="periodic")
     s_new = np.linspace(0.0, total, m, endpoint=False)
     new = np.stack(
@@ -229,18 +233,67 @@ def _resample_uniform(curve, surface, seg):
     return FlowCurve(new, curve.winding, curve.time)
 
 
-def _euler_step(surface, curve, vel, dt, length):
-    """Advance ``curve`` in place by one forward-Euler step dt * vel.
+def _time_step(curve, seg):
+    """The step size of both flow loops: DT_SAFETY * (min spacing)^2.
+
+    ``seg`` is ``curve.metric_lengths(surface)``; FlowError (with ``curve``
+    as its snapshot) when the spacing has collapsed or dt underflows.
+    """
+    min_sp = float(np.min(seg))
+    if min_sp <= 0.0:
+        raise FlowError("sample spacing collapsed", snapshot=curve)
+    dt = DT_SAFETY * min_sp * min_sp
+    if dt < 1e-16:
+        raise FlowError("step size underflow", snapshot=curve)
+    return dt
+
+
+def _increment(vel, seg, dt):
+    """The step's increment dX, solving (I - dt L) dX = dt vel.
+
+    L is the periodic second difference with ``curvature_velocity``'s
+    weights (v_m, v_0, v_p) built from the segment lengths ``seg``; it is
+    the same matrix for u1 and u2, and dX is periodic, so the winding shift
+    does not enter.  L's cyclic corners are split off by Sherman-Morrison
+    (Numerical Recipes' ``cyclic``), so one tridiagonal LAPACK solve takes
+    both coordinates and the correction column together.  Both the matrix
+    and its tridiagonal part are strictly diagonally dominant, so neither is
+    singular.
+    """
+    _, _, (v_m, v_0, v_p) = _stencil(seg)
+    lower = -dt * v_m  # row i's coefficient of dX[i-1]; [0] is the top-right corner
+    upper = -dt * v_p  # row i's coefficient of dX[i+1]; [-1] is the bottom-left corner
+    diag = 1.0 - dt * v_0
+    gamma = -diag[0]
+    diag[0] -= gamma
+    diag[-1] -= upper[-1] * lower[0] / gamma
+    rhs = np.zeros((seg.size, 3), order="F")
+    rhs[:, :2] = dt * vel
+    rhs[0, 2] = gamma
+    rhs[-1, 2] = upper[-1]
+    _, _, _, sol, info = dgtsv(lower[1:], diag, upper[:-1], rhs,
+                               overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise FlowError(f"implicit step matrix is singular (dgtsv info {info})")
+    y, z = sol[:, :2], sol[:, 2]
+    ratio = lower[0] / gamma
+    fact = (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])
+    return y - z[:, None] * fact
+
+
+def _implicit_step(surface, curve, vel, seg, dt, length):
+    """Advance ``curve`` in place by one linearly implicit step of size dt.
 
     This is the update half of the flow step; the other half is the
-    ``curvature_velocity`` call that produced ``vel``.  Raises ChartError
-    when a sample comes within 1e-9 of either end of the chart band, and
-    FlowError when the length exceeds ``length`` by more than 1e-12.
-    Returns the new segment lengths and their sum, which the next step's
-    ``curvature_velocity`` and dt rule reuse.
+    ``curvature_velocity`` call that produced ``vel`` from the segment
+    lengths ``seg``.  Raises ChartError when a sample comes within 1e-9 of
+    either end of the chart band, and FlowError when the length exceeds
+    ``length`` by more than 1e-12.  Returns the new segment lengths and
+    their sum, which the next step's ``curvature_velocity``, matrix and dt
+    rule reuse.
     """
     lo, hi = surface.u2_range
-    curve.samples = curve.samples + dt * vel
+    curve.samples = curve.samples + _increment(vel, seg, dt)
     curve.time += dt
     u2 = curve.samples[:, 1]
     if np.any(u2 <= lo + 1e-9) or np.any(u2 >= hi - 1e-9):
@@ -290,14 +343,8 @@ def evolve(surface, init, t_end, policy=None):
         if max_k < policy.convergence_tol:
             converged = True
             break
-        min_sp = float(np.min(seg))
-        if min_sp <= 0.0:
-            raise FlowError("sample spacing collapsed", snapshot=curve)
-        dt = DT_SAFETY * min_sp * min_sp
-        if dt < 1e-16:
-            raise FlowError("step size underflow", snapshot=curve)
-        dt = min(dt, t_end - curve.time)
-        seg, length = _euler_step(surface, curve, vel, dt, length)
+        dt = min(_time_step(curve, seg), t_end - curve.time)
+        seg, length = _implicit_step(surface, curve, vel, seg, dt, length)
         if length < policy.shrink_floor_frac * L0:
             shrinking = True
             break
@@ -359,10 +406,11 @@ def avoidance_harness(surface, c1, c2, t_end, c2_stationary=False):
     while a.time < t_end - 1e-14:
         vels = [curvature_velocity(surface, c, seg)[0]
                 for c, seg in zip(moving, segs)]
-        dt = min(DT_SAFETY * float(np.min(seg)) ** 2 for seg in segs)
+        dt = min(_time_step(c, seg) for c, seg in zip(moving, segs))
         dt = min(dt, t_end - a.time)
         for k, c in enumerate(moving):
-            segs[k], lens[k] = _euler_step(surface, c, vels[k], dt, lens[k])
+            segs[k], lens[k] = _implicit_step(surface, c, vels[k], segs[k], dt,
+                                              lens[k])
         pa = a.ambient_points(surface)
         if not c2_stationary:
             pb = b.ambient_points(surface)
@@ -374,14 +422,3 @@ def avoidance_harness(surface, c1, c2, t_end, c2_stationary=False):
                 f"curves touched at t={a.time:.6f} (d_min={d:.3e})"
             )
     return AvoidanceRecord(np.asarray(times), np.asarray(dmins))
-
-
-def latitude_ode_rhs(surface):
-    """Scalar oracle for rotationally symmetric flows: du2/dt = -h'/(h gamma^2)."""
-    prof = surface.profile
-
-    def rhs(t, y):
-        h, dh, _, dg, _ = prof.jet(y[0])
-        return (-dh / (h * float(np.hypot(dh, dg)) ** 2),)
-
-    return rhs

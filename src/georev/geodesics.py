@@ -61,7 +61,7 @@ __all__ = [
 
 DEFAULT_SHOOT_TOL = 1e-12
 DEFAULT_CLOSURE_TOL = 1e-6
-ANGLE_FLOOR = 1e-3
+ANGLE_FLOOR = 1e-3  # crossing angle floor, relative to the trace's widest crossing angle
 CROSSING_TOL = 1e-8  # the two passages of a crossing meet within this in (u1, u2)
 _LENGTH_CHECK_SAMPLES = 2048
 
@@ -590,7 +590,18 @@ def _passage_times(trace, t_lo, t_hi, targets, sign):
     return out
 
 
-def detect_self_intersections(trace, angle_floor=ANGLE_FLOOR, period=None):
+def _widest_crossing_angle(trace):
+    """2 arccos(|c| / max h) over the trace's samples.
+
+    Two passages through one point have opposite u2', so they cross at twice
+    the angle arccos(|c| / h) that each makes with the parallel; the angle is
+    widest where h is.
+    """
+    h_max = float(np.max(trace.surface.profile.h(trace.ys[1])))
+    return 2.0 * math.acos(min(1.0, abs(trace.clairaut_c) / h_max))
+
+
+def detect_self_intersections(trace, angle_floor=None, period=None):
     """All transversal self-intersections of a closed trace over one period.
 
     Uses the mirror symmetry of Clairaut geodesics: the trace is symmetric
@@ -605,7 +616,10 @@ def detect_self_intersections(trace, angle_floor=ANGLE_FLOOR, period=None):
     ``CROSSING_TOL`` plus ten times the closure defects (else
     IntegrationError), and pairs whose metric angle is within
     ``angle_floor`` of 0 or pi raise a DegenerateCrossingWarning and are
-    dropped.  Parallels and meridians are simple curves and have none.
+    dropped.  The floor defaults to ``ANGLE_FLOOR`` times the trace's widest
+    crossing angle, so it scales with the geometry: on a spheroid every
+    crossing angle shrinks with eps.  Parallels and meridians are simple
+    curves and have none.
     """
     if period is None:
         if trace.closure is None:
@@ -634,6 +648,8 @@ def detect_self_intersections(trace, angle_floor=ANGLE_FLOOR, period=None):
     # a pair's defect is integration error, as the closure defect is; the
     # reduction modulo T adds the closure defect, grown along the trace
     tol = CROSSING_TOL
+    if angle_floor is None:
+        angle_floor = ANGLE_FLOOR * _widest_crossing_angle(trace)
     if trace.closure is not None:
         tol += 10.0 * (trace.closure.position_defect + trace.closure.tangent_defect)
 

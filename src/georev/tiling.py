@@ -151,8 +151,10 @@ def decompose_regions(surface, trace, grid=DEFAULT_GRID):
 
     # --- sample and rasterize the trace ------------------------------------
     def sample(n):
+        # one evaluation: each step's end is the next step's start, then T
         ts = np.linspace(0.0, T, n, endpoint=False)
-        return ts, trace.eval(ts)[:2], trace.eval(np.concatenate([ts[1:], [T]]))[:2]
+        y = trace.eval(np.append(ts, T))[:2]
+        return ts, y[:, :-1], y[:, 1:]
 
     ts, (u1s, u2s), (u1e, u2e) = sample(_N_RASTER)
     max_step = max(

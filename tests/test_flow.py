@@ -13,9 +13,7 @@ from georev.flow import (
     FlowPolicy,
     avoidance_harness,
     curvature_velocity,
-    curve_from_trace,
     evolve,
-    latitude_ode_rhs,
     parallel_curve,
 )
 from georev.geodesics import closure_check, parallel_state, shoot
@@ -25,6 +23,7 @@ from georev.surfaces import (
     dumbbell_profile,
     unit_sphere,
 )
+from flow_oracle import curve_from_trace, latitude_ode_rhs
 
 
 @pytest.fixture(scope="module")
@@ -194,9 +193,53 @@ class TestLengthMonotonicityGuard:
                               c2_stationary=stationary)
 
 
+class TestResample:
+    def test_triple_winding_closes(self, dumbbell):
+        # (u1[0] + 6 pi) - 6 pi != u1[0] in floating point at this offset;
+        # the periodic spline must still see a closed detrended u1
+        s = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
+        c = FlowCurve(np.stack([0.01 + 3.0 * s, np.full(96, 0.25)], axis=1),
+                      winding=3)
+        new = flow._resample_uniform(c, dumbbell, c.metric_lengths(dumbbell))
+        assert new.winding == 3
+        assert float(np.max(np.abs(new.samples - c.samples))) < 1e-12
+
+
+class TestImplicitSolve:
+    """The cyclic tridiagonal solve of the step against a dense solve."""
+
+    @pytest.mark.parametrize("m", [8, 64, 128])
+    @pytest.mark.parametrize("dt_scale", [1.0, 10.0])
+    def test_matches_dense_solve(self, m, dt_scale):
+        rng = np.random.default_rng(m)
+        seg = rng.uniform(0.2, 1.0, m) * (2.0 * math.pi / m)  # uneven lengths
+        vel = rng.normal(size=(m, 2))
+        dt = dt_scale * flow.DT_SAFETY * float(np.min(seg)) ** 2
+        # I - dt L with L the periodic second difference in arclength
+        h_next, h_prev = seg, np.roll(seg, 1)
+        denom = h_prev * h_next * (h_prev + h_next)
+        v_m, v_p = 2.0 * h_next / denom, 2.0 * h_prev / denom
+        L = np.diag(-(v_m + v_p))
+        i = np.arange(m)
+        L[i, (i - 1) % m] += v_m
+        L[i, (i + 1) % m] += v_p
+        want = np.linalg.solve(np.eye(m) - dt * L, dt * vel)
+        got = flow._increment(vel, seg, dt)
+        assert float(np.max(np.abs(got - want))) < 1e-13 * float(np.max(np.abs(want)))
+
+    def test_constant_velocity_moves_rigidly(self):
+        # L annihilates constants, so a uniform velocity is a uniform increment
+        seg = np.full(64, 2.0 * math.pi / 64)
+        vel = np.tile([0.0, -0.3], (64, 1))
+        got = flow._increment(vel, seg, 0.01)
+        assert float(np.max(np.abs(got - 0.01 * vel))) < 1e-16
+
+
 # -- reference loops: the flow as it was before the step kernel carried the
 # segment lengths between steps.  Every length is recomputed where it is
-# used, from np.roll offsets and separate h and speed evaluations.
+# used, from np.roll offsets and separate h and speed evaluations; the
+# increment comes from the step's own cyclic solve and dt rule, which
+# TestImplicitSolve checks on its own.
 
 
 def _ref_closed_offsets(self):
@@ -242,10 +285,8 @@ def _ref_evolve(surface, init, t_end, policy):
             converged = True
             break
         seg = curve.metric_lengths(surface)
-        min_sp = float(np.min(seg))
-        dt = flow.DT_SAFETY * min_sp * min_sp
-        dt = min(dt, t_end - curve.time)
-        curve.samples = curve.samples + dt * vel
+        dt = min(flow._time_step(curve, seg), t_end - curve.time)
+        curve.samples = curve.samples + flow._increment(vel, seg, dt)
         curve.time += dt
         assert not (np.any(curve.samples[:, 1] <= lo + pad)
                     or np.any(curve.samples[:, 1] >= hi - pad))
@@ -292,15 +333,16 @@ def _ref_harness(surface, c1, c2, t_end, c2_stationary):
     t = 0.0
     while t < t_end - 1e-14:
         vel_a, _ = flow.curvature_velocity(surface, a)
-        dt = flow.DT_SAFETY * float(np.min(a.metric_lengths(surface))) ** 2
+        seg_a = a.metric_lengths(surface)
+        dt = flow._time_step(a, seg_a)
         if not c2_stationary:
             vel_b, _ = flow.curvature_velocity(surface, b)
-            dt_b = flow.DT_SAFETY * float(np.min(b.metric_lengths(surface))) ** 2
-            dt = min(dt, dt_b)
+            seg_b = b.metric_lengths(surface)
+            dt = min(dt, flow._time_step(b, seg_b))
         dt = min(dt, t_end - t)
-        a.samples = a.samples + dt * vel_a
+        a.samples = a.samples + flow._increment(vel_a, seg_a, dt)
         if not c2_stationary:
-            b.samples = b.samples + dt * vel_b
+            b.samples = b.samples + flow._increment(vel_b, seg_b, dt)
         t += dt
         times.append(t)
         dmins.append(d_min())
@@ -360,7 +402,7 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("c2_u2, stationary", [(0.0, True), (-0.25, False)])
     def test_avoidance_harness(self, c2_u2, stationary, dumbbell, reference):
         args = (dumbbell, parallel_curve(dumbbell, 0.25, m=64),
-                parallel_curve(dumbbell, c2_u2, m=64), 0.3, stationary)
+                parallel_curve(dumbbell, c2_u2, m=64), 1.0, stationary)
         got = avoidance_harness(*args)
         reference()
         want = _ref_harness(*args)

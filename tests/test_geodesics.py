@@ -170,6 +170,17 @@ class TestCrossings:
         assert any(issubclass(w.category, DegenerateCrossingWarning) for w in got)
         detect_self_intersections(tr)  # restore the genuine crossings
 
+    @pytest.mark.parametrize("eps", [5e-4, 1e-4, 1e-5])
+    def test_floor_scales_with_small_eps(self, eps):
+        # N = 3 crosses at 2.0 eps and 1.41 eps: an absolute 1e-3 floor
+        # dropped all three at eps <= 5e-4; the floor scaled by the widest
+        # crossing angle keeps them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateCrossingWarning)
+            sol, _, tr = solved_case(3, eps)
+            assert sol.crossings == 3
+            assert len(detect_self_intersections(tr)) == 3
+
     def test_requires_closure(self, sphere):
         tr = shoot(sphere, parallel_state(sphere, 0.0), 7.0)
         with pytest.raises(ValueError):
