@@ -645,11 +645,11 @@ def detect_self_intersections(trace, angle_floor=None, period=None):
     two_pi = 2.0 * math.pi
     u1_ends = trace.eval(np.array([t_start, t_start + T]))[0]
     p = round(sign * float(u1_ends[1] - u1_ends[0]) / two_pi)
+    if angle_floor is None:
+        angle_floor = ANGLE_FLOOR * _widest_crossing_angle(trace)
     # a pair's defect is integration error, as the closure defect is; the
     # reduction modulo T adds the closure defect, grown along the trace
     tol = CROSSING_TOL
-    if angle_floor is None:
-        angle_floor = ANGLE_FLOOR * _widest_crossing_angle(trace)
     if trace.closure is not None:
         tol += 10.0 * (trace.closure.position_defect + trace.closure.tangent_defect)
 

@@ -227,13 +227,6 @@ class TestImplicitSolve:
         got = flow._increment(vel, seg, dt)
         assert float(np.max(np.abs(got - want))) < 1e-13 * float(np.max(np.abs(want)))
 
-    def test_constant_velocity_moves_rigidly(self):
-        # L annihilates constants, so a uniform velocity is a uniform increment
-        seg = np.full(64, 2.0 * math.pi / 64)
-        vel = np.tile([0.0, -0.3], (64, 1))
-        got = flow._increment(vel, seg, 0.01)
-        assert float(np.max(np.abs(got - 0.01 * vel))) < 1e-16
-
 
 # -- reference loops: the flow as it was before the step kernel carried the
 # segment lengths between steps.  Every length is recomputed where it is
